@@ -54,11 +54,8 @@ from .periodseries import (
     energy_from_radius_series,
     first_obstruction,
     full_period_energy_series,
-    full_period_series,
-    h_of_r0_series,
     half_period_energy_series,
     half_period_radius_series,
-    half_period_series_h,
     half_period_series_r0,
 )
 from .reversion import (
@@ -92,9 +89,7 @@ from .trigmoments import (
     HomogeneousPoly,
     TrigValue,
     as_fraction,
-    g_eval,
     g_power_integral,
-    profile_eval,
     profile_power_integral,
     trig_moment,
 )

@@ -28,6 +28,7 @@ from .systems import (
     annulus_bound,
     classify,
     min_start_cap,
+    profile_min,
     start_radius_cap,
 )
 from .trigmoments import UPPER, LOWER, TrigValue, profile_power_integral
@@ -225,8 +226,7 @@ def predicted_profiles(sys: PiecewiseSystem, side: str) -> set[str]:
     n = p.degree - 1
     if n % 2 == 0:
         return {INCREASING_UNBOUNDED}
-    thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    gmin = min(p.profile(t) for t in thetas)
+    gmin = profile_min(p, 0.0, 2.0 * math.pi)[0]
     scale = max(1.0, float(sum(abs(c) for c in p.coeffs)))
     if gmin >= -1e-12 * scale:
         return {DECREASING}

@@ -18,8 +18,8 @@ File format, line oriented, '#' starts a comment anywhere:
     seed = 0
 
 Coefficients are exact rationals ("2", "-1/3").  Exit codes: 0 analysis
-completed (whatever the verdict), 2 malformed input file, 3 numerical
-failure during analysis.
+completed (whatever the verdict), 2 malformed input file or option out of
+range, 3 numerical failure during analysis.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import (
     StepFailure,
 )
 from .flow import correspondence_gap, numeric_period
-from .periodseries import combined_period_series, first_obstruction
+from .periodseries import combined_period_series
 from .systems import (
     SIDES,
     SIGMA_CENTER,
@@ -116,6 +116,16 @@ def _fail(msg: str, line_no: int, line: str, token: str | None = None):
         if pos >= 0:
             column = pos + 1
     raise ParseError(msg, line_no, column)
+
+
+def _bad_option(options: AnalysisOptions) -> str | None:
+    """Name of the first option outside its range, or None if all are valid."""
+    checks = (("order", options.order >= 1),
+              ("rmax", 0.0 < options.rmax < math.inf),
+              ("samples", options.samples >= 1),
+              ("tol", 0.0 < options.tol < math.inf),
+              ("seed", options.seed >= 0))
+    return next((key for key, ok in checks if not ok), None)
 
 
 def parse_spec(text: str) -> ParsedSpec:
@@ -199,12 +209,10 @@ def parse_spec(text: str) -> ParsedSpec:
             except ValueError:
                 _fail(f"invalid value for {key!r}: {value!r}", line_no, raw, value)
         options = replace(options, **parsed)
-        checks = (("order", options.order >= 1), ("rmax", options.rmax > 0),
-                  ("samples", options.samples >= 1), ("tol", options.tol > 0))
-        for key, ok in checks:
-            if not ok:
-                value, line_no, raw = body[key]
-                _fail(f"{key} out of range: {value}", line_no, raw, value)
+        key = _bad_option(options)
+        if key is not None:
+            value, line_no, raw = body[key]
+            _fail(f"{key} out of range: {value}", line_no, raw, value)
 
     system = PiecewiseSystem(upper=polys["upper"], lower=polys["lower"])
     warnings = []
@@ -266,8 +274,9 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
         steps = [p.degree - 2 for p in (system.upper, system.lower)
                  if not p.is_zero() and p.degree >= 3]
         jmax = max((-(-options.order // s) for s in steps), default=1)
-        series = combined_period_series(system, jmax=max(jmax, 1)).truncate(options.order)
-        obstruction = first_obstruction(system, jmax=max(jmax, 1))
+        full = combined_period_series(system, jmax=max(jmax, 1))
+        series = full.truncate(options.order)
+        obstruction = next(full.items(), None)
     except DegreeTooLow:
         anomalies.append("series unavailable: a quadratic side has no expansion grid")
 
@@ -411,6 +420,11 @@ def main(argv=None) -> int:
                  ("order", "rmax", "samples", "tol", "seed")
                  if getattr(args, key) is not None}
     options = replace(parsed.options, **overrides)
+    key = _bad_option(options)
+    if key is not None:
+        # the file's own options passed parse_spec, so the override is at fault
+        print(f"error: --{key} out of range: {overrides[key]}", file=_sys.stderr)
+        return 2
 
     try:
         bundle = run_report(parsed.system, options)

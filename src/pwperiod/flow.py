@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
@@ -27,7 +26,6 @@ from .systems import (
     PiecewiseSystem,
     annulus_bound,
     classify,
-    min_annulus_radius,
 )
 from .trigmoments import HomogeneousPoly
 
@@ -68,51 +66,34 @@ class MonotonicityCheck(NamedTuple):
         return self.ok
 
 
-def _side_annulus_radius(sys: PiecewiseSystem, side: str) -> float:
+def _check_start(sys: PiecewiseSystem, side: str, r0: float, rng: str) -> None:
+    """Refuse a start radius the side's annulus over ``rng`` does not hold.
+
+    A crossing orbit's piece passes only the side's own half circle
+    ("transit"); a smooth sub-system orbit passes the whole circle ("full").
+    """
+    if r0 <= 0.0:
+        raise ValueError("start radius must be positive")
     p = sys.side(side)
     if p.is_zero() or p.degree == 2:
-        return math.inf
-    return annulus_bound(sys, side).r_star
-
-
-def _float_coeffs(coeffs) -> tuple[float, ...]:
-    return tuple(float(c) for c in coeffs)
-
-
-def _homo_eval_f(coeffs: tuple[float, ...], x: float, y: float) -> float:
-    d = len(coeffs) - 1
-    xs = [1.0] * (d + 1)
-    for i in range(1, d + 1):
-        xs[i] = xs[i - 1] * x
-    total = 0.0
-    yp = 1.0
-    for i, c in enumerate(coeffs):
-        if c:
-            total += c * xs[d - i] * yp
-        yp *= y
-    return total
+        return
+    bound = annulus_bound(sys, side, rng).r_star
+    if r0 >= bound:
+        raise EscapedAnnulus(
+            f"start radius {r0} is outside the {side} annulus bound {bound:.6g}"
+        )
 
 
 def _make_rhs(p: HomogeneousPoly, reverse: bool) -> Callable:
-    px = _float_coeffs(p.partial_x_coeffs())
-    py = _float_coeffs(p.partial_y_coeffs())
+    gradient = p.gradient
     sign = -1.0 if reverse else 1.0
 
     def rhs(t, s):
         x, y = s
-        return (sign * (-y - _homo_eval_f(py, x, y)),
-                sign * (x + _homo_eval_f(px, x, y)))
+        px, py = gradient(x, y)
+        return (sign * (-y - py), sign * (x + px))
 
     return rhs
-
-
-def _energy_func(p: HomogeneousPoly) -> Callable[[float, float], float]:
-    cs = _float_coeffs(p.coeffs)
-
-    def energy(x: float, y: float) -> float:
-        return 0.5 * (x * x + y * y) + _homo_eval_f(cs, x, y)
-
-    return energy
 
 
 def half_orbit(sys: PiecewiseSystem, side: str, r_start: float, *,
@@ -126,13 +107,7 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float, *,
     The axis crossing is event-located and then polished with a Newton
     correction on the true field, leaving |y| at roundoff level.
     """
-    if r_start <= 0.0:
-        raise ValueError("r_start must be positive")
-    bound = _side_annulus_radius(sys, side)
-    if r_start >= bound:
-        raise EscapedAnnulus(
-            f"start radius {r_start} is outside the {side} annulus bound {bound:.6g}"
-        )
+    _check_start(sys, side, r_start, "transit")
     p = sys.side(side)
     reverse = side == LOWER_SIDE
     rhs = _make_rhs(p, reverse)
@@ -180,7 +155,10 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float, *,
         raise EscapedAnnulus(
             f"{side} transit ended on the starting ray; the orbit is not a crossing orbit"
         )
-    energy = _energy_func(p)
+
+    def energy(u: float, v: float) -> float:
+        return 0.5 * (u * u + v * v) + p(u, v)
+
     h0 = energy(r_start, 0.0)
     scale = max(abs(h0), 1e-30)
     drift = 0.0
@@ -284,26 +262,14 @@ def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) ->
 
 def quadrature_period(sys: PiecewiseSystem, side: str, r0: float) -> float:
     """Half period of one side by direct quadrature along the level curve."""
-    if r0 <= 0.0:
-        raise ValueError("r0 must be positive")
-    bound = _side_annulus_radius(sys, side)
-    if r0 >= bound:
-        raise EscapedAnnulus(
-            f"start radius {r0} is outside the {side} annulus bound {bound:.6g}"
-        )
+    _check_start(sys, side, r0, "transit")
     lo, hi = _angular_range(side)
     return _level_time_integral(sys.side(side), r0, lo, hi)
 
 
 def smooth_period(sys: PiecewiseSystem, side: str, r0: float) -> float:
     """Whole-circle period of one side treated as a smooth system."""
-    if r0 <= 0.0:
-        raise ValueError("r0 must be positive")
-    bound = _side_annulus_radius(sys, side)
-    if r0 >= bound:
-        raise EscapedAnnulus(
-            f"start radius {r0} is outside the {side} annulus bound {bound:.6g}"
-        )
+    _check_start(sys, side, r0, "full")
     return _level_time_integral(sys.side(side), r0, 0.0, 2.0 * math.pi)
 
 

@@ -26,6 +26,7 @@ from typing import Iterator
 from .errors import DegreeTooLow, NotACenter
 from .reversion import CoefficientTable, build_coefficient_table
 from .trigmoments import (
+    FULL,
     LOWER,
     PI,
     TRIG_ZERO,
@@ -44,13 +45,10 @@ RADIUS = "radius_r0"
 __all__ = [
     "PeriodSeries",
     "half_period_energy_series",
-    "half_period_series_h",
     "energy_from_radius_series",
-    "h_of_r0_series",
     "half_period_radius_series",
     "half_period_series_r0",
     "full_period_energy_series",
-    "full_period_series",
     "combined_period_series",
     "first_obstruction",
 ]
@@ -131,12 +129,12 @@ def _side_range(side: str) -> str:
     raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
-def half_period_energy_series(p: HomogeneousPoly, side: str, jmax: int = 8,
-                              table: CoefficientTable | None = None) -> PeriodSeries:
-    """Half period of one side as a series in the energy parameter h."""
-    rng = _side_range(side)
+def _energy_series(p: HomogeneousPoly, rng: str, jmax: int,
+                   table: CoefficientTable | None) -> PeriodSeries:
+    """Period over the angular range ``rng`` as a series in h."""
+    constant = TWO_PI if rng == FULL else PI
     if p.is_zero():
-        return PeriodSeries(PI, {}, ENERGY, None)
+        return PeriodSeries(constant, {}, ENERGY, None)
     _require_series_side(p)
     if table is None or table.jmax < jmax:
         table = build_coefficient_table(jmax)
@@ -147,25 +145,19 @@ def half_period_energy_series(p: HomogeneousPoly, side: str, jmax: int = 8,
         if c_j.is_zero():
             continue
         terms[j * (n - 1)] = c_j * table.period(j)(n)
-    return PeriodSeries(PI, terms, ENERGY, jmax * (n - 1))
+    return PeriodSeries(constant, terms, ENERGY, jmax * (n - 1))
+
+
+def half_period_energy_series(p: HomogeneousPoly, side: str, jmax: int = 8,
+                              table: CoefficientTable | None = None) -> PeriodSeries:
+    """Half period of one side as a series in the energy parameter h."""
+    return _energy_series(p, _side_range(side), jmax, table)
 
 
 def full_period_energy_series(p: HomogeneousPoly, jmax: int = 8,
                               table: CoefficientTable | None = None) -> PeriodSeries:
     """Whole-circle period of one side viewed as a smooth system, in h."""
-    if p.is_zero():
-        return PeriodSeries(TWO_PI, {}, ENERGY, None)
-    _require_series_side(p)
-    if table is None or table.jmax < jmax:
-        table = build_coefficient_table(jmax)
-    n = p.degree - 1
-    terms: dict[int, TrigValue] = {}
-    for j in range(1, jmax + 1):
-        c_j = profile_power_integral(p, j, "full")
-        if c_j.is_zero():
-            continue
-        terms[j * (n - 1)] = c_j * table.period(j)(n)
-    return PeriodSeries(TWO_PI, terms, ENERGY, jmax * (n - 1))
+    return _energy_series(p, FULL, jmax, table)
 
 
 def energy_from_radius_series(a0: Rational, n: int, order: int) -> dict[int, Fraction]:
@@ -282,15 +274,8 @@ def first_obstruction(sys, jmax: int = 8) -> tuple[int, TrigValue] | None:
     zero; callers must treat that as "nothing found at this order", never
     as a proof of isochronicity.
     """
-    series = combined_period_series(sys, jmax)
-    for e, c in series.items():
-        if not c.is_zero():
-            return e, c
-    return None
+    return next(combined_period_series(sys, jmax).items(), None)
 
 
-# symbol-style aliases for the same operations
-half_period_series_h = half_period_energy_series
-h_of_r0_series = energy_from_radius_series
+# symbol-style alias for the same operation
 half_period_series_r0 = half_period_radius_series
-full_period_series = full_period_energy_series

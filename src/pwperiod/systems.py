@@ -6,6 +6,10 @@ y < 0.  The flow is x' = -dH/dy, y' = dH/dx, counterclockwise rotation at
 lowest order.  Whether the origin is a center depends only on the two degree
 exponents and the two axis coefficients; ``classify`` decides it exactly
 over the rationals.
+
+Every radius bound here is an extremum of the circle profile
+g(theta) = p(cos theta, sin theta) of a side.  ``profile_min`` finds it in
+closed form, from the range ends and the critical angles of g.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import DegreeTooLow
 from .trigmoments import HomogeneousPoly
@@ -35,6 +39,7 @@ __all__ = [
     "normalize",
     "vector_field",
     "hamiltonian",
+    "profile_min",
     "annulus_bound",
     "min_annulus_radius",
     "start_radius_cap",
@@ -168,8 +173,7 @@ def _reflect(p: HomogeneousPoly) -> HomogeneousPoly:
 def vector_field(sys: PiecewiseSystem, x: float, y: float) -> tuple[float, float]:
     """Field (-dH/dy, dH/dx) of the side active at (x, y); y = 0 uses the upper."""
     p = sys.upper if y >= 0.0 else sys.lower
-    px = _eval_homo(p.partial_x_coeffs(), x, y)
-    py = _eval_homo(p.partial_y_coeffs(), x, y)
+    px, py = p.gradient(x, y)
     return (-y - py, x + px)
 
 
@@ -179,56 +183,67 @@ def hamiltonian(sys: PiecewiseSystem, x: float, y: float) -> float:
     return 0.5 * (x * x + y * y) + p(x, y)
 
 
-def _eval_homo(coeffs, x: float, y: float) -> float:
-    d = len(coeffs) - 1
-    total = 0.0
-    xp = 1.0
-    xs = [1.0]
-    for _ in range(d):
-        xp *= x
-        xs.append(xp)
-    yp = 1.0
-    for i, c in enumerate(coeffs):
-        if c:
-            total += float(c) * xs[d - i] * yp
-        yp *= y
-    return total
+def _angle_range(side: str, rng: str) -> tuple[float, float]:
+    """Angles a side's orbit pieces cross: its own half circle or all of it."""
+    if rng == "transit":
+        return (0.0, math.pi) if side == UPPER_SIDE else (math.pi, 2.0 * math.pi)
+    if rng == "full":
+        return 0.0, 2.0 * math.pi
+    raise ValueError(f"rng must be 'transit' or 'full', got {rng!r}")
 
 
-def annulus_bound(sys: PiecewiseSystem, side: str,
-                  samples: int = 4096) -> AnnulusEstimate:
-    """Outer radius of the side's period annulus.
+def _coeff_scale(p: HomogeneousPoly) -> float:
+    """Bound on |g|, at least 1; sets the zero and tie thresholds of g."""
+    return max(1.0, float(sum(abs(c) for c in p.coeffs)))
+
+
+def profile_min(p: HomogeneousPoly, lo: float, hi: float) -> tuple[float, float]:
+    """Minimum of the circle profile g over [lo, hi] and the angle where it occurs.
+
+    The minimum sits at an end of the range or at a critical angle of g.
+    Since g' = q(cos theta, sin theta) with q = -y p_x + x p_y, a form of
+    the same degree, the critical angles are the direction x = 0 and
+    atan(t) for the roots t of q(1, t).  Every root contributes its real
+    part, so a double root that rounding split off the real axis still
+    yields its angle.  g is evaluated at these candidates only; values tied
+    within rounding go to the smallest angle.
+    """
+    c, d = p.coeffs, p.degree
+    q = [(k + 1) * c[k + 1] if k < d else 0 for k in range(d + 1)]
+    for k in range(1, d + 1):
+        q[k] -= (d - k + 1) * c[k - 1]
+    candidates = {lo, hi, 0.5 * math.pi, 1.5 * math.pi}
+    for t in np.roots([float(v) for v in reversed(q)]).real:
+        base = math.atan(t)
+        candidates.update((base, base + math.pi, base + 2.0 * math.pi))
+    thetas = sorted(t for t in candidates if lo <= t <= hi)
+    values = [p.profile(t) for t in thetas]
+    tie = min(values) + 4.0 * math.ulp(_coeff_scale(p))
+    return next((v, t) for t, v in zip(thetas, values) if v <= tie)
+
+
+def annulus_bound(sys: PiecewiseSystem, side: str, rng: str = "full") -> AnnulusEstimate:
+    """Outer radius of the side's period annulus over the angles ``rng`` spans.
 
     The annulus ends where the angular speed 1 + (degree) g(theta) r^(degree-2)
     first vanishes, so r_star = ((degree) * max(-g))^(-1/(degree-2)) whenever
-    the profile g takes negative values, and the annulus is unbounded
-    otherwise.  The profile extremum is located numerically: dense sampling
-    followed by local refinement.
+    the profile g takes negative values on the range, and the annulus is
+    unbounded otherwise.  The extremum comes from ``profile_min``.  ``rng``
+    is "full" for the whole circle or "transit" for the side's own half
+    circle, the angles a crossing orbit's piece on that side passes.
     """
     p = sys.side(side)
+    lo, hi = _angle_range(side, rng)
     if p.is_zero():
         return AnnulusEstimate(side, math.inf, None)
     if p.degree == 2:
         raise DegreeTooLow("annulus bound is defined for nonlinearity degree >= 3")
     d = p.degree
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    values = np.array([p.profile(t) for t in thetas])
-    order = np.argsort(values)
-    window = 2.0 * (2.0 * math.pi / samples)
-    best_val = math.inf
-    best_theta = 0.0
-    for idx in order[:6]:
-        t0 = thetas[idx]
-        res = minimize_scalar(p.profile, bounds=(t0 - window, t0 + window),
-                              method="bounded", options={"xatol": 1e-14})
-        if res.fun < best_val:
-            best_val = res.fun
-            best_theta = float(res.x) % (2.0 * math.pi)
-    scale = max(1.0, float(sum(abs(c) for c in p.coeffs)))
-    if best_val >= -1e-13 * scale:
+    gmin, theta = profile_min(p, lo, hi)
+    if gmin >= -1e-13 * _coeff_scale(p):
         return AnnulusEstimate(side, math.inf, None)
-    r_star = (d * (-best_val)) ** (-1.0 / (d - 2))
-    return AnnulusEstimate(side, r_star, best_theta)
+    r_star = (d * (-gmin)) ** (-1.0 / (d - 2))
+    return AnnulusEstimate(side, r_star, theta)
 
 
 def min_annulus_radius(sys: PiecewiseSystem) -> float:
@@ -247,23 +262,6 @@ def min_annulus_radius(sys: PiecewiseSystem) -> float:
     return out
 
 
-def _max_negative_profile(p: HomogeneousPoly, lo: float, hi: float,
-                          samples: int = 2048) -> float:
-    """Maximum of -g over [lo, hi], located by sampling plus refinement."""
-    thetas = np.linspace(lo, hi, samples)
-    values = np.array([p.profile(t) for t in thetas])
-    order = np.argsort(values)
-    window = 2.0 * (hi - lo) / samples
-    best = math.inf
-    for idx in order[:6]:
-        a = max(lo, thetas[idx] - window)
-        b = min(hi, thetas[idx] + window)
-        res = minimize_scalar(p.profile, bounds=(a, b), method="bounded",
-                              options={"xatol": 1e-14})
-        best = min(best, float(res.fun))
-    return -best
-
-
 def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> float:
     """Largest axis start radius whose orbit piece stays inside the annulus.
 
@@ -277,18 +275,12 @@ def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> f
     half circle or "full" for the whole circle (smooth sub-system orbits).
     """
     p = sys.side(side)
+    lo, hi = _angle_range(side, rng)
     if p.is_zero():
         return math.inf
-    if rng == "transit":
-        lo, hi = (0.0, math.pi) if side == UPPER_SIDE else (math.pi, 2.0 * math.pi)
-    elif rng == "full":
-        lo, hi = 0.0, 2.0 * math.pi
-    else:
-        raise ValueError(f"rng must be 'transit' or 'full', got {rng!r}")
     d = p.degree
-    q = _max_negative_profile(p, lo, hi)
-    scale = max(1.0, float(sum(abs(c) for c in p.coeffs)))
-    if q <= 1e-13 * scale:
+    q = -profile_min(p, lo, hi)[0]
+    if q <= 1e-13 * _coeff_scale(p):
         return math.inf
     if d == 2:
         # angular speed 1 + 2 g is radius independent

@@ -135,7 +135,7 @@ class HomogeneousPoly:
     be detected through :meth:`is_zero`.
     """
 
-    __slots__ = ("_degree", "_coeffs")
+    __slots__ = ("_degree", "_coeffs", "_floats", "_grad_floats")
 
     def __init__(self, degree: int, coeffs: Sequence[Rational]):
         if not isinstance(degree, int) or degree < 2:
@@ -147,6 +147,9 @@ class HomogeneousPoly:
             )
         self._degree = degree
         self._coeffs = coeffs
+        self._floats = tuple(float(c) for c in coeffs)
+        self._grad_floats = (tuple(float(c) for c in self.partial_x_coeffs()),
+                             tuple(float(c) for c in self.partial_y_coeffs()))
 
     @classmethod
     def zero(cls, degree: int = 2) -> "HomogeneousPoly":
@@ -169,13 +172,12 @@ class HomogeneousPoly:
         return all(c == 0 for c in self._coeffs)
 
     def __call__(self, x: float, y: float) -> float:
-        d = self._degree
-        xp = [1.0] * (d + 1)
-        yp = [1.0] * (d + 1)
-        for i in range(1, d + 1):
-            xp[i] = xp[i - 1] * x
-            yp[i] = yp[i - 1] * y
-        return math.fsum(float(c) * xp[d - i] * yp[i] for i, c in enumerate(self._coeffs))
+        return _eval_form(self._floats, x, y)
+
+    def gradient(self, x: float, y: float) -> tuple[float, float]:
+        """Float value of (dp/dx, dp/dy) at (x, y)."""
+        px, py = self._grad_floats
+        return _eval_form(px, x, y), _eval_form(py, x, y)
 
     def profile(self, theta: float) -> float:
         """Restriction to the unit circle, p(cos(theta), sin(theta))."""
@@ -214,6 +216,25 @@ class HomogeneousPoly:
 
     def __repr__(self) -> str:
         return f"HomogeneousPoly({self._degree}, {list(self._coeffs)!r})"
+
+
+def _eval_form(coeffs: tuple[float, ...], x: float, y: float) -> float:
+    """Float value of sum(coeffs[i] * x^(d-i) * y^i), skipping zero terms.
+
+    Terms are added in index order; the ODE clock's times depend on that
+    order to the last bit.
+    """
+    d = len(coeffs) - 1
+    xs = [1.0] * (d + 1)
+    for i in range(1, d + 1):
+        xs[i] = xs[i - 1] * x
+    total = 0.0
+    yp = 1.0
+    for i, c in enumerate(coeffs):
+        if c:
+            total += c * xs[d - i] * yp
+        yp *= y
+    return total
 
 
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -295,11 +316,5 @@ def profile_power_integral(p: HomogeneousPoly, j: int, rng: str = FULL) -> TrigV
     return total
 
 
-def profile_eval(p: HomogeneousPoly, theta: float) -> float:
-    """Float value of the circle restriction of p at angle theta."""
-    return p.profile(theta)
-
-
-# symbol-style aliases for the same operations
-g_eval = profile_eval
+# symbol-style alias for the same operation
 g_power_integral = profile_power_integral

@@ -298,7 +298,7 @@ def test_cli_output_deterministic(tmp_path):
         "[lower]\ndegree = 3\ncoeffs = 0, 0, 0, 1\n"
         "[options]\norder = 8\nrmax = 0.1\nsamples = 24\ntol = 1e-6\nseed = 9\n")
     script = shutil.which("analyze")
-    base = [script] if script else [_pysys.executable, "-m", "pwperiod.cli"]
+    base = [script] if script else [_pysys.executable, "-m", "pwperiod"]
 
     outputs = []
     for stem in ("first", "second"):

@@ -77,6 +77,7 @@ class TestParseSpec:
         (lambda t: t.replace("0, 1, 0, 0", "0, abc, 0, 0"), "not an exact rational"),
         (lambda t: t.replace("order = 6", "order = 0"), "out of range"),
         (lambda t: t.replace("rmax = 0.1", "rmax = -2"), "out of range"),
+        (lambda t: t.replace("rmax = 0.1", "rmax = inf"), "out of range"),
         (lambda t: t.replace("tol = 1e-6", "tol = 0"), "out of range"),
         (lambda t: t.replace("samples = 4", "samples = nine"), "invalid value"),
     ])
@@ -245,6 +246,18 @@ class TestCsvAndMain:
         assert main([str(spec), "--order", "4", "--samples", "3"]) == 0
         assert "truncated at exponent 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("override", [
+        ["--samples", "0"], ["--rmax", "-1"], ["--rmax", "nan"], ["--rmax", "inf"],
+        ["--order", "0"], ["--tol", "0"], ["--tol", "inf"],
+    ], ids=" ".join)
+    def test_main_rejects_out_of_range_override(self, tmp_path, capsys, override):
+        spec = tmp_path / "sys.txt"
+        spec.write_text(GOOD)
+        assert main([str(spec), *override]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{override[0]} out of range" in err
+
     def test_csv_deterministic_for_seed(self, tmp_path, capsys):
         spec = tmp_path / "sys.txt"
         spec.write_text(GOOD)
@@ -254,3 +267,29 @@ class TestCsvAndMain:
         assert main([str(spec), "--csv", str(second), "--no-timestamp", "--seed", "5"]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def good_spec(tmp_path_factory):
+    spec = tmp_path_factory.mktemp("spec") / "sys.txt"
+    spec.write_text(GOOD)
+    return str(spec)
+
+
+_out_of_range_float = st.one_of(st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan))
+OUT_OF_RANGE = {
+    "order": st.integers(max_value=0),
+    "rmax": _out_of_range_float,
+    "samples": st.integers(max_value=0),
+    "tol": _out_of_range_float,
+    "seed": st.integers(max_value=-1),
+}
+
+
+@given(overrides=st.lists(st.sampled_from(sorted(OUT_OF_RANGE)), min_size=1, unique=True)
+       .flatmap(lambda keys: st.fixed_dictionaries({k: OUT_OF_RANGE[k] for k in keys})))
+@settings(max_examples=60, deadline=None)
+def test_main_exits_cleanly_on_out_of_range_overrides(good_spec, overrides):
+    # "--key=value" keeps argparse from reading "-inf" as an option name
+    argv = [good_spec] + [f"--{key}={value}" for key, value in overrides.items()]
+    assert main(argv) == 2

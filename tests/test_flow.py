@@ -129,6 +129,14 @@ class TestQuadratureRoute:
         with pytest.raises(EscapedAnnulus):
             quadrature_period(X3_Y3, "upper", 0.4)
 
+    def test_start_checked_against_the_side_own_half_circle(self):
+        # upper 2x^2 y is negative only below the axis: its whole-circle
+        # bound 0.433 does not limit the upper transit, which holds r0 = 0.598
+        sys = PiecewiseSystem(hp(3, 0, 2, 0, 0), hp(4, 1, 0, F(-1, 2), 0, 0))
+        r0 = 0.598
+        ode = half_orbit(sys, "upper", r0).time
+        assert abs(ode - quadrature_period(sys, "upper", r0)) < 1e-9
+
     def test_level_curve_gap_raises_bracket_failure(self):
         # inside r* but beyond the start cap: no level radius at theta = pi
         with pytest.raises(RootBracketFailure):

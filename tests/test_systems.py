@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwperiod import (
     DegreeTooLow,
@@ -16,6 +19,7 @@ from pwperiod import (
     start_radius_cap,
     vector_field,
 )
+from pwperiod.systems import profile_min
 
 from conftest import CENTER_SUITE, NONCENTER_SUITE, hp, zero
 
@@ -136,6 +140,49 @@ class TestAnnulusBound:
         assert abs(min_annulus_radius(sys) - 1 / 3) < 1e-12
         both_free = PiecewiseSystem(hp(4, 0, 0, 1, 0, 0), zero(4))
         assert min_annulus_radius(both_free) == math.inf
+
+
+class TestProfileMin:
+    def test_x2y_critical_angle_is_exact(self):
+        value, theta = profile_min(hp(3, 0, 1, 0, 0), 0.0, 2 * math.pi)
+        # two equal minima at sin(theta) = -1/sqrt(3); the smaller angle wins
+        assert abs(theta - (math.pi + math.asin(1 / math.sqrt(3)))) < 1e-12
+        assert abs(value + 2 / (3 * math.sqrt(3))) < 1e-15
+
+    def test_y3_minimum_on_lower_range(self):
+        value, theta = profile_min(hp(3, 0, 0, 0, 1), math.pi, 2 * math.pi)
+        assert value == -1.0
+        assert abs(theta - 3 * math.pi / 2) < 1e-12
+        sys = PiecewiseSystem(zero(3), hp(3, 0, 0, 0, 1))
+        assert abs(annulus_bound(sys, "lower").r_star - 1 / 3) < 1e-15
+
+    def test_tied_minima_go_to_smallest_angle(self):
+        # -y^4/3 is smallest at pi/2 and 3pi/2 alike
+        value, theta = profile_min(hp(4, 0, 0, 0, 0, F(-1, 3)), 0.0, 2 * math.pi)
+        assert value == -1 / 3
+        assert theta == math.pi / 2
+
+
+small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def forms(draw):
+    degree = draw(st.integers(3, 7))
+    return hp(degree, *draw(st.lists(small_rational, min_size=degree + 1,
+                                     max_size=degree + 1)))
+
+
+@given(p=forms())
+@settings(max_examples=80, deadline=None)
+def test_profile_min_is_below_a_dense_grid(p):
+    scale = max(1.0, float(sum(abs(c) for c in p.coeffs)))
+    for lo, hi in ((0.0, math.pi), (math.pi, 2 * math.pi), (0.0, 2 * math.pi)):
+        value, theta = profile_min(p, lo, hi)
+        assert lo <= theta <= hi
+        assert value == p.profile(theta)
+        grid_min = min(p.profile(t) for t in np.linspace(lo, hi, 4096))
+        assert value <= grid_min + 1e-15 * scale, (lo, hi)
 
 
 class TestStartRadiusCap:
