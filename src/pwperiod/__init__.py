@@ -64,6 +64,7 @@ from .reversion import (
     build_coefficient_table,
     build_lambda_table,
     check_sparsity,
+    period_coefficient,
     reversion_oracle,
 )
 from .systems import (

@@ -195,7 +195,10 @@ def parse_spec(text: str) -> ParsedSpec:
             raise DegreeMismatch(
                 f"section [{side}] declares degree {degree} but lists "
                 f"{len(coeffs)} coefficients (need {degree + 1})", cline)
-        polys[side] = HomogeneousPoly(degree, coeffs)
+        try:
+            polys[side] = HomogeneousPoly(degree, coeffs)
+        except OverflowError:  # the numeric clocks need float coefficients
+            _fail("coefficient too large for floating-point evaluation", cline, craw)
 
     options = AnalysisOptions()
     if "options" in sections:
@@ -308,6 +311,15 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
             t_ser = math.nan
             dev = math.nan
         rows.append((r0, t_num, t_ser, dev))
+    # A series with terms that fits the numeric periods no better than the
+    # constant 2*pi alone is being evaluated outside the range where it means
+    # anything.  A series without terms is the constant itself.
+    if series is not None and series.exponents:
+        baseline = max(abs(t_num - 2 * math.pi) for _, t_num, _, _ in rows)
+        if worst >= baseline:
+            anomalies.append(
+                "series evaluated outside its range: the crosscheck is no better than "
+                f"the constant term alone, max |T_numeric - 2*pi|: {_fmt(baseline)}")
 
     report = AnalysisReport(classification, series, obstruction, search.witness,
                             monotonicity, worst, anomalies)

@@ -6,11 +6,12 @@ the energy parameter h,
     pi + sum_j  period_j(n) * c_j * h^(j(n-1)),       c_j = int g^j
 
 with g the circle profile of p integrated over the side's angular range.
-Substituting the axis relation h = r0 (1 + 2 a0 r0^(n-1))^(1/2) produces the
-series in the crossing radius r0.  The substitution here is a generic
-truncated power-series composition over exact coefficients; the closed-form
-row weights in :mod:`pwperiod.reversion` provide an independent route that
-the tests compare against.
+The coefficients period_j(n) have a closed form, see
+:mod:`pwperiod.reversion`.  Substituting the axis relation
+h = r0 (1 + 2 a0 r0^(n-1))^(1/2) produces the series in the crossing radius
+r0.  The substitution here is a truncated power-series composition over
+exact coefficients; the tests compare it with the weighted moment sums
+built from the weight polynomials of :class:`~pwperiod.reversion.CoefficientTable`.
 
 Coefficients are :class:`~pwperiod.trigmoments.TrigValue`; composing never
 multiplies two pi-carrying values because the substitution series is purely
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DegreeTooLow, NotACenter
-from .reversion import CoefficientTable, build_coefficient_table
+from .reversion import period_coefficient
 from .trigmoments import (
     FULL,
     LOWER,
@@ -129,35 +130,30 @@ def _side_range(side: str) -> str:
     raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
-def _energy_series(p: HomogeneousPoly, rng: str, jmax: int,
-                   table: CoefficientTable | None) -> PeriodSeries:
+def _energy_series(p: HomogeneousPoly, rng: str, jmax: int) -> PeriodSeries:
     """Period over the angular range ``rng`` as a series in h."""
     constant = TWO_PI if rng == FULL else PI
     if p.is_zero():
         return PeriodSeries(constant, {}, ENERGY, None)
     _require_series_side(p)
-    if table is None or table.jmax < jmax:
-        table = build_coefficient_table(jmax)
     n = p.degree - 1
     terms: dict[int, TrigValue] = {}
     for j in range(1, jmax + 1):
         c_j = profile_power_integral(p, j, rng)
         if c_j.is_zero():
             continue
-        terms[j * (n - 1)] = c_j * table.period(j)(n)
+        terms[j * (n - 1)] = c_j * period_coefficient(j, n)
     return PeriodSeries(constant, terms, ENERGY, jmax * (n - 1))
 
 
-def half_period_energy_series(p: HomogeneousPoly, side: str, jmax: int = 8,
-                              table: CoefficientTable | None = None) -> PeriodSeries:
+def half_period_energy_series(p: HomogeneousPoly, side: str, jmax: int = 8) -> PeriodSeries:
     """Half period of one side as a series in the energy parameter h."""
-    return _energy_series(p, _side_range(side), jmax, table)
+    return _energy_series(p, _side_range(side), jmax)
 
 
-def full_period_energy_series(p: HomogeneousPoly, jmax: int = 8,
-                              table: CoefficientTable | None = None) -> PeriodSeries:
+def full_period_energy_series(p: HomogeneousPoly, jmax: int = 8) -> PeriodSeries:
     """Whole-circle period of one side viewed as a smooth system, in h."""
-    return _energy_series(p, FULL, jmax, table)
+    return _energy_series(p, FULL, jmax)
 
 
 def energy_from_radius_series(a0: Rational, n: int, order: int) -> dict[int, Fraction]:
@@ -206,14 +202,13 @@ def _sparse_pow(base: dict[int, Fraction], exponent: int,
     return out
 
 
-def half_period_radius_series(p: HomogeneousPoly, side: str, jmax: int = 8,
-                              table: CoefficientTable | None = None) -> PeriodSeries:
+def half_period_radius_series(p: HomogeneousPoly, side: str, jmax: int = 8) -> PeriodSeries:
     """Half period of one side as a series in the axis crossing radius r0.
 
     Composes the energy series with the bracket expansion of h(r0) by
     truncated power-series multiplication; all arithmetic is exact.
     """
-    energy = half_period_energy_series(p, side, jmax, table)
+    energy = half_period_energy_series(p, side, jmax)
     if p.is_zero():
         return PeriodSeries(PI, {}, RADIUS, None)
     n = p.degree - 1
@@ -236,8 +231,7 @@ def _grid_step(p: HomogeneousPoly) -> int | None:
     return p.degree - 2
 
 
-def combined_period_series(sys, jmax: int = 8,
-                           table: CoefficientTable | None = None) -> PeriodSeries:
+def combined_period_series(sys, jmax: int = 8) -> PeriodSeries:
     """Full crossing period as a series in r0, valid for centers only.
 
     The two half series live on different exponent grids when the degrees
@@ -257,8 +251,8 @@ def combined_period_series(sys, jmax: int = 8,
     if not steps:
         return PeriodSeries(TWO_PI, {}, RADIUS, None)
     order = jmax * min(steps)
-    upper = half_period_radius_series(sys.upper, "upper", jmax, table)
-    lower = half_period_radius_series(sys.lower, "lower", jmax, table)
+    upper = half_period_radius_series(sys.upper, "upper", jmax)
+    lower = half_period_radius_series(sys.lower, "lower", jmax)
     terms: dict[int, TrigValue] = {}
     for series in (upper, lower):
         for e, c in series.items():

@@ -1,38 +1,43 @@
-"""Reversion of the level-curve equation h^2 = r^2 + 2 a r^(n+1).
+"""Closed-form coefficients of the level-curve radius and the half period.
 
-The radius of a level curve, as a function of the energy parameter h, has a
-power series r = h (1 + sum_j lam_j a^j h^(j(n-1))) whose coefficients lam_j
-are polynomials in the degree parameter n with rational coefficients.  This
-module computes that table parametrically (``build_coefficient_table``) and,
-by a completely separate route, solves the same equation by undetermined
-coefficients at a concrete n (``reversion_oracle``).  The two routes are kept
-independent on purpose so each can check the other.
+The level curve of the side with nonlinearity p of degree n + 1 through the
+energy parameter h is h^2 = r^2 + 2 a r^(n+1), where a = g(theta) is the
+circle profile.  With u = a h^(n-1) and w = r / h it reads
 
-Writing u = a h^(n-1) and S(u) = sum_j lam_j u^j, substituting the series
-into the level equation and dividing by h^2 gives
+    w^2 + 2 u w^(n+1) = 1,   i.e.   V = 1 + z V^t  for  V = w^(-2),
 
-    2 S + S^2 + 2 u (1 + S)^(n+1) = 0,
+with z = 2u and t = (1 - n)/2.  The root with V(0) = 1 is the generalized
+binomial series B_t(z), whose powers have the closed form
 
-which determines lam_j order by order; the binomial (1 + S)^(n+1) expands
-through order u^(j-1) as a finite sum over C(n+1, s) S^s with s < j, and
-C(n+1, s) is itself a polynomial in n.  The coefficient of h^(j(n-1)) in the
-half-period series in h is then
+    B_t(z)^s = sum_k  C(t k + s, k) * s / (t k + s) * z^k
 
-    ((j(n-1) + 2) / 2) * (2 lam_j + sum_{i1+i2=j} lam_i1 lam_i2),
+(Graham, Knuth & Patashnik, *Concrete Mathematics*, section 5.4).  Taking
+s = -1/2 gives the radius series r = h (1 + sum_j lam_j u^j) with
 
-a polynomial of degree j in n, stored as the period table.  Substituting
+    lam_j(n) = (-2)^j / (2 j) * C((j(n+1) - 1)/2, j - 1),
+
+and s = -1 gives w^2 = 1 + sum_j e_j u^j.  The half period is the energy
+derivative of the enclosed area, int r^2 / 2 dtheta, divided by h, so the
+coefficient of c_j h^(j(n-1)), c_j = int g^j, is
+
+    period_j(n) = ((j(n-1) + 2) / 2) * e_j = (-2)^j * C(j(n+1)/2, j),
+
+a product of j factors linear in n.  Substituting the axis relation
 h(r0) = r0 (1 + 2 a0 r0^(n-1))^(1/2) stays on the same exponent grid, and the
 weight of a0^(j-i) c_i in the coefficient of r0^(j(n-1)) is
 
-    period_i(n) * 2^(j-i) * C(i(n-1)/2, j-i),
+    period_i(n) * 2^(j-i) * C(i(n-1)/2, j-i).
 
-stored as the triangular weight table.
+``period_coefficient`` evaluates period_j at a concrete n in O(j) rational
+operations; ``CoefficientTable`` returns the same coefficients, and lam_j and
+the weights, as polynomials in n.  ``reversion_oracle`` solves the level
+equation at a concrete n by undetermined coefficients, a route that shares
+nothing with the closed form, so each can check the other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Sequence, Union
 
@@ -43,6 +48,7 @@ __all__ = [
     "CoefficientTable",
     "build_coefficient_table",
     "build_lambda_table",
+    "period_coefficient",
     "reversion_oracle",
     "check_sparsity",
 ]
@@ -151,52 +157,61 @@ def _as_poly(value) -> ParamPoly:
     raise TypeError(f"cannot coerce {type(value).__name__} to ParamPoly")
 
 
-_ZERO = ParamPoly()
-_ONE = ParamPoly((1,))
+_Factors = tuple[Fraction, list[tuple[Fraction, Fraction]]]  # scalar, (const, slope) pairs
+
+
+def _linear_factors(a: Rational, b: Rational, k: int) -> _Factors:
+    """C(a*n + b, k) as 1/k! and the k factors (b - t) + a*n."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    a, b = as_fraction(a), as_fraction(b)
+    return Fraction(1, factorial(k)), [(b - t, a) for t in range(k)]
+
+
+def _expand(scalar: Fraction, factors: list[tuple[Fraction, Fraction]]) -> ParamPoly:
+    out = ParamPoly((scalar,))
+    for const, slope in factors:
+        out = out * ParamPoly((const, slope))
+    return out
 
 
 def binom_linear(a: Rational, b: Rational, k: int) -> ParamPoly:
     """Generalized binomial C(a*n + b, k) as a ParamPoly of degree k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    base = ParamPoly((as_fraction(b), as_fraction(a)))
-    out = _ONE
-    for t in range(k):
-        out = out * (base - t)
-    return out * Fraction(1, factorial(k))
+    return _expand(*_linear_factors(a, b, k))
 
 
-def _series_mul(a: list[ParamPoly], b: list[ParamPoly], limit: int) -> list[ParamPoly]:
-    # truncated product of series indexed by power of u, index 0 .. limit
-    out = [_ZERO] * (limit + 1)
-    for i, ai in enumerate(a):
-        if i > limit or ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j > limit:
-                break
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
+def _period_factors(j: int) -> _Factors:
+    """period_j(n) = (-2)^j C(j(n+1)/2, j) as a scalar and j linear factors."""
+    if j < 1:
+        raise ValueError("reduced index must be at least 1")
+    scalar, factors = _linear_factors(Fraction(j, 2), Fraction(j, 2), j)
+    return (-2) ** j * scalar, factors
+
+
+def period_coefficient(j: int, n: Rational) -> Fraction:
+    """Coefficient of c_j h^(j(n-1)) in the half-period series, at concrete n."""
+    n = as_fraction(n)
+    out, factors = _period_factors(j)
+    for const, slope in factors:
+        out *= const + slope * n
     return out
 
 
 class CoefficientTable:
-    """Tables of coefficient polynomials for the level-radius and period series.
+    """Coefficient polynomials in n for the level-radius and period series.
 
     ``radius(j)`` is the polynomial multiplying a^j h^(j(n-1)) in the
     reverted radius series, ``period(j)`` the one multiplying c_j h^(j(n-1))
     in the half-period series in h, and ``weight(j, i)`` the one multiplying
     a0^(j-i) c_i in the coefficient of r0^(j(n-1)) after substituting h(r0).
-    Indices are the reduced index j, starting at 1.
+    Indices are the reduced index j, starting at 1.  Each entry is expanded
+    from its closed form when asked for.
     """
 
-    def __init__(self, jmax: int, radius: Sequence[ParamPoly],
-                 period: Sequence[ParamPoly],
-                 weights: Sequence[Sequence[ParamPoly]]):
+    def __init__(self, jmax: int):
+        if jmax < 1:
+            raise ValueError("jmax must be at least 1")
         self.jmax = jmax
-        self._radius = tuple(radius)
-        self._period = tuple(period)
-        self._weights = tuple(tuple(row) for row in weights)
 
     def _check_index(self, j: int) -> None:
         if not 1 <= j <= self.jmax:
@@ -204,64 +219,22 @@ class CoefficientTable:
 
     def radius(self, j: int) -> ParamPoly:
         self._check_index(j)
-        return self._radius[j - 1]
+        return binom_linear(Fraction(j, 2), Fraction(j - 1, 2), j - 1) * Fraction((-2) ** j, 2 * j)
 
     def period(self, j: int) -> ParamPoly:
         self._check_index(j)
-        return self._period[j - 1]
+        return _expand(*_period_factors(j))
 
     def weight(self, j: int, i: int) -> ParamPoly:
         self._check_index(j)
         if not 1 <= i <= j:
             raise IndexError(f"weight index {i} outside 1..{j}")
-        return self._weights[j - 1][i - 1]
+        return self.period(i) * binom_linear(Fraction(i, 2), Fraction(-i, 2), j - i) * 2 ** (j - i)
 
 
-@lru_cache(maxsize=None)
 def build_coefficient_table(jmax: int = 8) -> CoefficientTable:
-    """Build the coefficient tables up to reduced index jmax."""
-    if jmax < 1:
-        raise ValueError("jmax must be at least 1")
-    radius: list[ParamPoly] = [ParamPoly((-1,))]  # reduced index 1
-    for j in range(2, jmax + 1):
-        # quadratic convolution over i1 + i2 = j with both parts >= 1
-        conv = _ZERO
-        for i in range(1, j):
-            conv = conv + radius[i - 1] * radius[j - i - 1]
-        # binomial part: coefficient of u^(j-1) in (1+S)^(n+1), S known so far
-        limit = j - 1
-        series = [_ZERO] * (limit + 1)
-        for i, lam in enumerate(radius, start=1):
-            if i <= limit:
-                series[i] = lam
-        power = [_ONE] + [_ZERO] * limit
-        binom_part = _ZERO
-        for s in range(1, j):
-            power = _series_mul(power, series, limit)
-            if power[limit].is_zero():
-                continue
-            binom_part = binom_part + binom_linear(1, 1, s) * power[limit]
-        radius.append((conv + 2 * binom_part) * Fraction(-1, 2))
-
-    period: list[ParamPoly] = []
-    for j in range(1, jmax + 1):
-        square = _ZERO
-        for i in range(1, j):
-            square = square + radius[i - 1] * radius[j - i - 1]
-        e_j = 2 * radius[j - 1] + square
-        # (j(n-1) + 2)/2 as a polynomial in n
-        factor = ParamPoly((Fraction(2 - j, 2), Fraction(j, 2)))
-        period.append(factor * e_j)
-
-    weights: list[list[ParamPoly]] = []
-    for j in range(1, jmax + 1):
-        row = []
-        for i in range(1, j + 1):
-            half_exp = binom_linear(Fraction(i, 2), Fraction(-i, 2), j - i)
-            row.append(period[i - 1] * half_exp * Fraction(2 ** (j - i)))
-        weights.append(row)
-
-    return CoefficientTable(jmax, radius, period, weights)
+    """Coefficient tables up to reduced index jmax."""
+    return CoefficientTable(jmax)
 
 
 def _dict_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -273,6 +246,13 @@ def _dict_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fract
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _check_oracle_args(jmax: int, n: int) -> None:
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if jmax < 1:
+        raise ValueError("jmax must be at least 1")
+
+
 def _revert_concrete(jmax: int, n: int) -> list[dict[int, Fraction]]:
     """Solve the level equation at concrete n by undetermined coefficients.
 
@@ -281,10 +261,7 @@ def _revert_concrete(jmax: int, n: int) -> list[dict[int, Fraction]]:
     returned list is the coefficient of h^(k+1) in r(h), i.e. beta_k.
     Nothing here assumes the sparsity pattern; it comes out of the solve.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if jmax < 1:
-        raise ValueError("jmax must be at least 1")
+    _check_oracle_args(jmax, n)
     klimit = jmax * (n - 1)
     c = n + 1
     betas: list[dict[int, Fraction]] = []                # beta_1 .. beta_klimit
@@ -339,14 +316,11 @@ def reversion_oracle(jmax: int, n: int) -> list[Fraction]:
 
 def check_sparsity(jmax: int, n: int) -> bool:
     """True when every off-grid coefficient of the reverted series vanishes."""
-    betas = _revert_concrete(jmax, n)
-    for k, poly in enumerate(betas, start=1):
-        if k % (n - 1) != 0 and poly:
-            return False
-        if k % (n - 1) == 0:
-            j = k // (n - 1)
-            if any(pw != j for pw in poly):
-                return False
+    _check_oracle_args(jmax, n)
+    try:
+        reversion_oracle(jmax, n)
+    except ValueError:
+        return False
     return True
 
 

@@ -75,6 +75,7 @@ class TestParseSpec:
         (lambda t: t.replace("0, 1, 0, 0", "0, , 0, 0"), "empty coefficient"),
         (lambda t: t.replace("0, 1, 0, 0", "0, 1/0, 0, 0"), "zero denominator"),
         (lambda t: t.replace("0, 1, 0, 0", "0, abc, 0, 0"), "not an exact rational"),
+        (lambda t: t.replace("0, 1, 0, 0", "0, 1e400, 0, 0"), "floating-point"),
         (lambda t: t.replace("order = 6", "order = 0"), "out of range"),
         (lambda t: t.replace("rmax = 0.1", "rmax = -2"), "out of range"),
         (lambda t: t.replace("rmax = 0.1", "rmax = inf"), "out of range"),
@@ -131,6 +132,48 @@ def test_format_parse_round_trip(system, order, rmax, samples, tol, seed):
     parsed = parse_spec(format_spec(system, options))
     assert parsed.system == system
     assert parsed.options == options
+
+
+_MALFORMED = ["1/0", "nan", "inf", "1e400", "-1e400", "1_0", "1__0", "9" * 5000, "0x10",
+              "1/2/3", "100000", "-7"]
+_value = st.one_of(st.sampled_from(_MALFORMED), coeff_st.map(str), st.integers().map(str),
+                   st.text(max_size=12))
+_key_line = st.builds(lambda key, values: f"{key} = {', '.join(values)}",
+                      st.sampled_from(["degree", "coeffs", "order", "rmax", "samples", "tol",
+                                       "seed", "radius"]),
+                      st.lists(_value, min_size=1, max_size=6))
+_spec_line = st.one_of(_key_line, st.text(max_size=30),
+                       st.sampled_from(["[upper]", "[lower]", "[options]", "[middle]", "[upper",
+                                        "degree = 100000", "=", ""]))
+
+
+@st.composite
+def mangled_spec_text(draw):
+    """A valid spec with one value, or whole lines, replaced by generated ones."""
+    options = AnalysisOptions(draw(st.integers(1, 20)), 0.1, 4, 1e-6, draw(st.integers(0, 99)))
+    lines = format_spec(draw(poly_text_system()), options).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        how = draw(st.sampled_from(["value", "line", "insert"]))
+        if i < len(lines) and how == "value" and "=" in lines[i]:
+            key, values = lines[i].split("=", 1)
+            values = values.split(",")
+            values[draw(st.integers(0, len(values) - 1))] = draw(_value)
+            lines[i] = f"{key}={','.join(values)}"
+        elif i < len(lines) and how == "line":
+            lines[i] = draw(_spec_line)
+        else:
+            lines.insert(i, draw(_spec_line))
+    return "\n".join(lines)
+
+
+@given(text=mangled_spec_text())
+@settings(max_examples=60, deadline=None)
+def test_parse_spec_raises_only_parse_error(text):
+    try:
+        parse_spec(text)
+    except ParseError:
+        pass
 
 
 class TestRunReport:
@@ -192,6 +235,16 @@ class TestRender:
         assert "first obstruction: exponent 1, coefficient 2" in text
         assert "witness: r0 = " in text
         assert "monotonicity: upper increasing_unbounded" in text
+
+    def test_series_outside_its_range_is_an_anomaly(self):
+        # both annuli unbounded: the grid reaches r0 ~ 1e6, where the series
+        # is off by ~1e49 while the constant 2*pi alone is off by ~6.3
+        sys = PiecewiseSystem(hp(4, 0, 0, 1, 0, 0), hp(4, 0, 0, 0, 0, 1))
+        text = render_report(run_report(sys, AnalysisOptions(rmax=1e6, samples=4)))
+        assert "anomaly: series evaluated outside its range" in text
+        assert "anomalies: none" not in text
+        text = render_report(run_report(sys, AnalysisOptions(samples=4)))
+        assert "anomalies: none" in text
 
     def test_quadratic_pair_renders_constant_anomaly(self):
         sys = PiecewiseSystem(hp(2, F(3, 2), 0, 0), zero(2))

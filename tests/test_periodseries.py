@@ -127,7 +127,7 @@ def test_radius_series_weight_route_duality():
     for p, side in cases:
         n = p.degree - 1
         rng = "upper" if side == "upper" else "lower"
-        series = half_period_radius_series(p, side, jmax=6, table=table)
+        series = half_period_radius_series(p, side, jmax=6)
         moments = [profile_power_integral(p, i, rng) for i in range(1, 7)]
         for k in range(1, 7):
             expected = sum(

@@ -8,6 +8,7 @@ from pwperiod import (
     ParamPoly,
     build_coefficient_table,
     check_sparsity,
+    period_coefficient,
     reversion_oracle,
 )
 from pwperiod.reversion import binom_linear
@@ -150,6 +151,20 @@ def test_degree_and_sign_law():
         per = table.period(j)
         assert per.degree() == j
         assert per.leading_coefficient() == j * lead
+
+
+def test_closed_form_against_oracle_deep():
+    """period_coefficient and the radius rows against the undetermined-coefficient
+    solve, through j = 16: period_j = ((j(n-1)+2)/2) (2 beta_j + sum beta_i beta_(j-i))."""
+    jmax = 16
+    table = build_coefficient_table(jmax)
+    for n in range(2, 12):
+        beta = reversion_oracle(jmax, n)
+        for j in range(1, jmax + 1):
+            square = sum((beta[i - 1] * beta[j - i - 1] for i in range(1, j)), F(0))
+            expected = F(j * (n - 1) + 2, 2) * (2 * beta[j - 1] + square)
+            assert period_coefficient(j, n) == expected, (n, j)
+            assert table.radius(j)(n) == beta[j - 1], (n, j)
 
 
 def test_weight_table_structure():
