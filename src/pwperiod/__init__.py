@@ -33,6 +33,7 @@ from .errors import (
     NotACenter,
     ParseError,
     PwPeriodError,
+    QuadratureFailure,
     RootBracketFailure,
     StepFailure,
 )

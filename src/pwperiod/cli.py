@@ -46,6 +46,7 @@ from .errors import (
     EscapedAnnulus,
     ParseError,
     PwPeriodError,
+    QuadratureFailure,
     RootBracketFailure,
     StepFailure,
 )
@@ -195,9 +196,10 @@ def parse_spec(text: str) -> ParsedSpec:
             raise DegreeMismatch(
                 f"section [{side}] declares degree {degree} but lists "
                 f"{len(coeffs)} coefficients (need {degree + 1})", cline)
+        polys[side] = HomogeneousPoly(degree, coeffs)
         try:
-            polys[side] = HomogeneousPoly(degree, coeffs)
-        except OverflowError:  # the numeric clocks need float coefficients
+            polys[side].float_coeffs()  # the numeric clocks need them
+        except OverflowError:
             _fail("coefficient too large for floating-point evaluation", cline, craw)
 
     options = AnalysisOptions()
@@ -440,7 +442,7 @@ def main(argv=None) -> int:
 
     try:
         bundle = run_report(parsed.system, options)
-    except (EscapedAnnulus, StepFailure, RootBracketFailure) as exc:
+    except (EscapedAnnulus, StepFailure, RootBracketFailure, QuadratureFailure) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 3
     except PwPeriodError as exc:

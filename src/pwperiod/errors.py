@@ -25,6 +25,10 @@ class RootBracketFailure(PwPeriodError):
     """Could not bracket the level-curve radius during quadrature."""
 
 
+class QuadratureFailure(PwPeriodError):
+    """The level-curve quadrature did not converge within its node cap."""
+
+
 class HypothesisNotMet(PwPeriodError):
     """Side does not satisfy the conditions of the half-period identity."""
 

@@ -6,6 +6,13 @@ quadrature of dtheta / (angular speed) along the exact level curve.  The
 pair must agree to tight tolerance; tests rely on both routes staying
 separate, so neither should ever call the other.
 
+The quadrature works on arrays of angles.  A whole circle takes the
+trapezoid rule, which converges geometrically on the periodic analytic
+integrand; a half circle takes Gauss-Legendre, with the nodes cached per
+count.  The node count doubles until two successive estimates agree, and
+the level-curve radius at all nodes comes from one safeguarded Newton
+iteration.
+
 Functions are pure; evaluating many radii concurrently is safe.
 """
 
@@ -15,10 +22,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+import numpy as np
+from scipy.integrate import solve_ivp
 
-from .errors import EscapedAnnulus, NotACenter, RootBracketFailure, StepFailure
+from .errors import (
+    EscapedAnnulus,
+    NotACenter,
+    QuadratureFailure,
+    RootBracketFailure,
+    StepFailure,
+)
 from .systems import (
     LOWER_SIDE,
     SIGMA_CENTER,
@@ -201,63 +214,180 @@ def _angular_range(side: str) -> tuple[float, float]:
     return math.pi, 2.0 * math.pi
 
 
+# Node cap of either rule.  An integral that has not converged by then has a
+# spike too narrow to resolve (a start radius at the edge of the annulus).
+MAX_NODES = 8192
+# Successive estimates agree to these bounds once the rule has converged.
+QUAD_ATOL = 1e-13
+QUAD_RTOL = 1e-12
+
+_GAUSS_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even.
+
+    Newton on P_n from the Tricomi guesses cos(pi (k - 1/4) / (n + 1/2))
+    finds the positive nodes; the rule is symmetric.  Cached per n.
+    """
+    rule = _GAUSS_RULES.get(n)
+    if rule is None:
+        x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+        for _ in range(100):
+            pn, dpn = _legendre(n, x)
+            step = pn / dpn
+            x = x - step
+            if np.abs(step).max() <= 1e-15:
+                break
+        dpn = _legendre(n, x)[1]
+        w = 2.0 / ((1.0 - x * x) * dpn * dpn)
+        rule = (np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1])))
+        _GAUSS_RULES[n] = rule
+    return rule
+
+
+def _trapezoid_estimates(f: Callable, n: int):
+    """Trapezoid sums of f over [0, 2 pi] on n, 2n, 4n, ... nodes.
+
+    Each doubling evaluates only the midpoints of the previous nodes.
+    """
+    step = 2.0 * math.pi / n
+    total = f(step * np.arange(n)).sum()
+    yield step * total
+    while n < MAX_NODES:
+        total += f(step * (np.arange(n) + 0.5)).sum()
+        n, step = 2 * n, 0.5 * step
+        yield step * total
+
+
+def _gauss_estimates(f: Callable, lo: float, hi: float, n: int):
+    """Gauss-Legendre sums of f over [lo, hi] on n, 2n, 4n, ... nodes."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    while n <= MAX_NODES:
+        x, w = _gauss_legendre(n)
+        yield half * np.dot(w, f(mid + half * x))
+        n *= 2
+
+
+def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndarray:
+    """Radius of the level curve r^2 + 2 g r^d = h2 at every angle, d >= 3.
+
+    One safeguarded Newton iteration runs on all angles at once: a step
+    that leaves the sign-change bracket, or does not halve the previous
+    one, is replaced by bisection, and each lane stops once its step is
+    within brentq's tolerance, 1e-16 + 8.9e-16 r.
+    """
+    root = math.sqrt(h2)
+    negative = g < 0.0
+    fold = np.full_like(g, math.inf)
+    # the level function peaks at the fold radius and falls after it; the
+    # orbit radius is the root before the fold, if any.  At that root
+    # 1 - 2|g| r^(d-2) > (d-2)/d, so r^2 < 3 h2 always, which caps the
+    # bracket when the fold is far away (tiny |g|).
+    fold[negative] = (d * -g[negative]) ** (-1.0 / (d - 2))
+    # for g > 0 the root sits at or below sqrt(h2); the tiny inflation keeps
+    # the endpoint sign positive when 2 g h2^(d/2) is below the rounding
+    # error of sqrt(h2)**2 - h2
+    hi = np.where(g > 0.0, root * (1.0 + 1e-12), np.minimum(fold, math.sqrt(3.0 * h2)))
+    short = (g <= 0.0) & (hi * hi + 2.0 * g * hi ** d - h2 <= 0.0)
+    if short.any():
+        raise RootBracketFailure(
+            f"level curve does not reach angle {theta[short][0]:.6f}; start "
+            "radius is outside the period annulus"
+        )
+    lo = np.zeros_like(g)
+    # start from the reversion series r / sqrt(h2) = 1 - u + (2d - 1) u^2 / 2
+    # + O(u^3), u = g h2^((d-2)/2), kept inside the bracket
+    u = g * root ** (d - 2)
+    r = np.clip(root * (1.0 - u + (d - 0.5) * u * u), lo, hi)
+    last = hi
+    done = np.zeros(g.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            rp = r ** (d - 2)
+            value = r * r + 2.0 * g * rp * r * r - h2
+            lo = np.where(value < 0.0, r, lo)
+            hi = np.where(value > 0.0, r, hi)
+            newton = r - value / (2.0 * r * (1.0 + d * g * rp))
+            # bisect where Newton leaves the bracket or fails to halve the
+            # last step, as it does on the rounding noise next to the fold
+            step = np.where((newton >= lo) & (newton <= hi)
+                            & (np.abs(newton - r) <= 0.5 * np.abs(last)),
+                            newton, 0.5 * (lo + hi)) - r
+            r = np.where(done, r, r + step)
+            done |= np.abs(step) <= 1e-16 + 8.9e-16 * r
+            if done.all():
+                return r
+            last = step
+    raise RootBracketFailure(
+        f"level-curve radius did not converge at angle {theta[~done][0]:.6f}"
+    )
+
+
 def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) -> float:
-    """Quadrature of dtheta / angular speed along the level curve through (r0, 0)."""
+    """Integral of dtheta / angular speed along the level curve through (r0, 0).
+
+    A whole circle (hi - lo = 2 pi) takes the trapezoid rule, which
+    converges geometrically on the periodic analytic integrand; a half
+    circle takes Gauss-Legendre.  The node count doubles until two
+    successive estimates agree to QUAD_ATOL or QUAD_RTOL, and an integral
+    still moving at MAX_NODES raises QuadratureFailure.
+    """
     if p.is_zero():
         return hi - lo
     d = p.degree
     a0 = float(p.axis_value)
     h2 = r0 * r0 + 2.0 * a0 * r0 ** d
 
-    def radius_at(theta: float) -> float:
-        g = p.profile(theta)
-        if g == 0.0:
-            return math.sqrt(h2)
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        g = p(np.cos(theta), np.sin(theta))
         if d == 2:
-            denom = 1.0 + 2.0 * g
-            if denom <= 0.0:
+            # the speed 1 + 2 g is radius free; the level curve is bounded
+            # only where it is positive
+            speed = 1.0 + 2.0 * g
+            unbounded = speed <= 0.0
+            if unbounded.any():
                 raise RootBracketFailure(
-                    f"level curve is unbounded at angle {theta:.6f}; the "
-                    "quadratic profile overwhelms the rotation"
+                    f"level curve is unbounded at angle {theta[unbounded][0]:.6f}; "
+                    "the quadratic profile overwhelms the rotation"
                 )
-            return math.sqrt(h2 / denom)
-
-        def level(r: float) -> float:
-            return r * r + 2.0 * g * r ** d - h2
-
-        if g > 0.0:
-            # the root sits at or below sqrt(h2); the tiny inflation keeps
-            # the endpoint sign positive when 2 g h2^(d/2) is below the
-            # rounding error of sqrt(h2)**2 - h2
-            hi_r = math.sqrt(h2) * (1.0 + 1e-12)
         else:
-            # the level function peaks at the fold radius and falls after it;
-            # the orbit radius is the root before the fold, if any.  At that
-            # root 1 - 2|g| r^(d-2) > (d-2)/d, so r^2 < 3 h2 always, which
-            # caps the bracket when the fold is far away (tiny |g|).
-            prod = d * -g
-            fold = prod ** (-1.0 / (d - 2)) if prod > 0.0 else math.inf
-            hi_r = min(fold, math.sqrt(3.0 * h2))
-            if level(hi_r) <= 0.0:
-                raise RootBracketFailure(
-                    f"level curve does not reach angle {theta:.6f}; start "
-                    "radius is outside the period annulus"
-                )
-        return brentq(level, 0.0, hi_r, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-
-    def integrand(theta: float) -> float:
-        r = radius_at(theta)
-        g = p.profile(theta)
-        speed = 1.0 + d * g * r ** (d - 2)
-        if speed <= 1e-12:
+            speed = 1.0 + d * g * _level_radii(g, d, h2, theta) ** (d - 2)
+        stalled = speed <= 1e-12
+        if stalled.any():
             raise RootBracketFailure(
-                f"angular speed vanished at angle {theta:.6f}; start radius is "
-                "outside the period annulus"
+                f"angular speed vanished at angle {theta[stalled][0]:.6f}; start "
+                "radius is outside the period annulus"
             )
         return 1.0 / speed
 
-    value, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return value
+    # start above twice the degree, so that the first two trapezoid sums
+    # cannot agree by aliasing the profile's harmonics
+    n = 32
+    while n <= 2 * d:
+        n *= 2
+    if hi - lo == 2.0 * math.pi:
+        estimates = _trapezoid_estimates(integrand, n)
+    else:
+        estimates = _gauss_estimates(integrand, lo, hi, n)
+    previous = None
+    for value in estimates:
+        if previous is not None and abs(value - previous) <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
+            return float(value)
+        previous = value
+    raise QuadratureFailure(
+        f"level-curve quadrature did not converge on {MAX_NODES} nodes at start "
+        f"radius {r0}; the integrand is too sharply peaked this close to the "
+        "edge of the period annulus"
+    )
 
 
 def quadrature_period(sys: PiecewiseSystem, side: str, r0: float) -> float:

@@ -206,8 +206,13 @@ def profile_min(p: HomogeneousPoly, lo: float, hi: float) -> tuple[float, float]
     atan(t) for the roots t of q(1, t).  Every root contributes its real
     part, so a double root that rounding split off the real axis still
     yields its angle.  g is evaluated at these candidates only; values tied
-    within rounding go to the smallest angle.
+    within rounding go to the smallest angle.  Computed once per polynomial
+    and range.
     """
+    return p.memo(("profile_min", lo, hi), lambda: _profile_min(p, lo, hi))
+
+
+def _profile_min(p: HomogeneousPoly, lo: float, hi: float) -> tuple[float, float]:
     c, d = p.coeffs, p.degree
     q = [(k + 1) * c[k + 1] if k < d else 0 for k in range(d + 1)]
     for k in range(1, d + 1):

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 Rational = Union[int, Fraction, str]
+T = TypeVar("T")
 
 FULL = "full"
 UPPER = "upper"
@@ -135,7 +136,7 @@ class HomogeneousPoly:
     be detected through :meth:`is_zero`.
     """
 
-    __slots__ = ("_degree", "_coeffs", "_floats", "_grad_floats")
+    __slots__ = ("_degree", "_coeffs", "_floats", "_memo")
 
     def __init__(self, degree: int, coeffs: Sequence[Rational]):
         if not isinstance(degree, int) or degree < 2:
@@ -147,9 +148,8 @@ class HomogeneousPoly:
             )
         self._degree = degree
         self._coeffs = coeffs
-        self._floats = tuple(float(c) for c in coeffs)
-        self._grad_floats = (tuple(float(c) for c in self.partial_x_coeffs()),
-                             tuple(float(c) for c in self.partial_y_coeffs()))
+        self._floats = None
+        self._memo = {}
 
     @classmethod
     def zero(cls, degree: int = 2) -> "HomogeneousPoly":
@@ -171,12 +171,33 @@ class HomogeneousPoly:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._coeffs)
 
+    def float_coeffs(self) -> tuple[tuple[float, ...], ...]:
+        """Float coefficients of p, dp/dx and dp/dy, built on first use.
+
+        Raises OverflowError when one of them is beyond float range; the
+        exact series never needs them.
+        """
+        if self._floats is None:
+            self._floats = tuple(tuple(float(c) for c in cs) for cs in (
+                self._coeffs, self.partial_x_coeffs(), self.partial_y_coeffs()))
+        return self._floats
+
+    def memo(self, key, compute: Callable[[], T]) -> T:
+        """``compute()``, computed once per polynomial and ``key``.
+
+        Holds values that depend on the polynomial alone, such as the
+        minimum of its circle profile over an angle range.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def __call__(self, x: float, y: float) -> float:
-        return _eval_form(self._floats, x, y)
+        return _eval_form((self._floats or self.float_coeffs())[0], x, y)
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
         """Float value of (dp/dx, dp/dy) at (x, y)."""
-        px, py = self._grad_floats
+        _, px, py = self._floats or self.float_coeffs()
         return _eval_form(px, x, y), _eval_form(py, x, y)
 
     def profile(self, theta: float) -> float:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwperiod import EscapedAnnulus, ParseError, PiecewiseSystem
+from pwperiod import EscapedAnnulus, ParseError, PiecewiseSystem, QuadratureFailure
+from pwperiod import cli
 from pwperiod.cli import (
     CSV_HEADER,
     AnalysisOptions,
@@ -76,6 +77,8 @@ class TestParseSpec:
         (lambda t: t.replace("0, 1, 0, 0", "0, 1/0, 0, 0"), "zero denominator"),
         (lambda t: t.replace("0, 1, 0, 0", "0, abc, 0, 0"), "not an exact rational"),
         (lambda t: t.replace("0, 1, 0, 0", "0, 1e400, 0, 0"), "floating-point"),
+        pytest.param(lambda t: t.replace("0, 1, 0, 0", "0, 1e308, 0, 0"), "floating-point",
+                     id="<lambda>-floating-point-near-max"),
         (lambda t: t.replace("order = 6", "order = 0"), "out of range"),
         (lambda t: t.replace("rmax = 0.1", "rmax = -2"), "out of range"),
         (lambda t: t.replace("rmax = 0.1", "rmax = inf"), "out of range"),
@@ -292,6 +295,26 @@ class TestCsvAndMain:
         spec.write_text("[upper]\ndegree=2\ncoeffs=-3/2,0,0\n[lower]\ndegree=2\ncoeffs=0,0,0\n")
         assert main([str(spec)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeff", ["1e400", "1e308"])
+    def test_main_coefficient_beyond_float_range(self, tmp_path, capsys, coeff):
+        spec = tmp_path / "sys.txt"
+        spec.write_text(GOOD.replace("0, 1, 0, 0", f"0, {coeff}, 0, 0"))
+        assert main([str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and "floating-point" in err
+
+    def test_main_unconverged_quadrature_is_a_numerical_failure(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def unconverged(system, options):
+            raise QuadratureFailure("level-curve quadrature did not converge")
+
+        monkeypatch.setattr(cli, "run_report", unconverged)
+        spec = tmp_path / "sys.txt"
+        spec.write_text(GOOD)
+        assert main([str(spec)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: level-curve quadrature" in err
 
     def test_main_cli_overrides(self, tmp_path, capsys):
         spec = tmp_path / "sys.txt"

@@ -1,13 +1,18 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pwperiod import (
     EscapedAnnulus,
     NotACenter,
     PiecewiseSystem,
+    QuadratureFailure,
     RootBracketFailure,
     correspondence_gap,
     combined_period_series,
@@ -16,8 +21,10 @@ from pwperiod import (
     numeric_period,
     quadrature_period,
     smooth_period,
+    start_radius_cap,
 )
-from pwperiod.flow import MonotonicityCheck
+from pwperiod.flow import MonotonicityCheck, _level_radii
+from pwperiod.systems import profile_min
 
 from conftest import CENTER_SUITE, NONCENTER_SUITE, hp, zero
 
@@ -142,6 +149,95 @@ class TestQuadratureRoute:
         with pytest.raises(RootBracketFailure):
             quadrature_period(X3_Y3, "upper", 0.2)
 
+    def test_unresolved_peak_raises_instead_of_returning(self):
+        # 1e-9 below the start cap the orbit grazes the fold of the level
+        # curve; its time spike is too narrow for the node cap of either rule
+        for rng, period in (("transit", quadrature_period), ("full", smooth_period)):
+            cap = start_radius_cap(X2Y_Y3, "lower", rng)
+            with pytest.raises(QuadratureFailure, match="did not converge"):
+                period(X2Y_Y3, "lower", cap * (1.0 - 1e-9))
+
+
+def _mp_level_time(p, r0, lo, hi):
+    """30-digit integral of dtheta / angular speed along the level curve.
+
+    The radius comes from Newton on r^2 + 2 g r^d = h^2 started at h; a
+    positive speed at the result shows it is the root before the fold.  The
+    range is split where g is least, where the integrand peaks.
+    """
+    d = p.degree
+    cs = [mpmath.mpf(c.numerator) / c.denominator for c in p.coeffs]
+    r0 = mpmath.mpf(r0)
+    h2 = r0 * r0 + 2 * cs[0] * r0 ** d
+
+    def integrand(theta):
+        c, s = mpmath.cos(theta), mpmath.sin(theta)
+        g = mpmath.fsum(cs[i] * c ** (d - i) * s ** i for i in range(d + 1))
+        r = mpmath.sqrt(h2)
+        for _ in range(200):
+            step = (r * r + 2 * g * r ** d - h2) / (2 * r + 2 * d * g * r ** (d - 1))
+            r -= step
+            if abs(step) <= mpmath.mpf(10) ** -28 * r:
+                break
+        else:
+            raise AssertionError("30-digit level radius did not converge")
+        speed = 1 + d * g * r ** (d - 2)
+        assert r > 0 and speed > 0
+        return 1 / speed
+
+    peak = profile_min(p, float(lo), float(hi))[1]
+    value, error = mpmath.quad(integrand, sorted({lo, mpmath.mpf(peak), hi}), error=True)
+    assert error <= 1e-20 * abs(value)
+    return value
+
+
+class TestThirtyDigitClock:
+    """Both float quadratures against mpmath at 30 digits, up to 0.95 of the cap."""
+
+    @pytest.mark.parametrize("name", ["x3/x3", "x2y/y3", "x3-x2y/x3+y3", "x4/x4y"])
+    def test_quadratures_match_mpmath(self, name):
+        system = CENTER_SUITE[name][0]
+        with mpmath.workdps(30):
+            for side in ("upper", "lower"):
+                p = system.side(side)
+                half = (0, mpmath.pi) if side == "upper" else (mpmath.pi, 2 * mpmath.pi)
+                for rng, period, (lo, hi) in (("transit", quadrature_period, half),
+                                              ("full", smooth_period, (0, 2 * mpmath.pi))):
+                    cap = start_radius_cap(system, side, rng)
+                    if not math.isfinite(cap):
+                        continue
+                    for fraction in (0.3, 0.95):
+                        r0 = fraction * cap
+                        reference = _mp_level_time(p, r0, lo, hi)
+                        value = period(system, side, r0)
+                        assert abs(value - reference) <= 1e-12 * abs(reference), (
+                            side, rng, fraction, value, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(3, 7),
+       g=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6)),
+                  min_size=1, max_size=24),
+       level=st.floats(0.01, 0.999),
+       scale=st.floats(0.05, 2.0))
+def test_level_radii_match_brentq(d, g, level, scale):
+    # h^2 is `level` times the critical energy of the most negative lane,
+    # so the level curve reaches every angle; brentq brackets each lane as
+    # the scalar route did
+    g = np.array(g)
+    critical = [(d * -v) ** (-2.0 / (d - 2)) * (d - 2) / d for v in g if v < 0.0]
+    h2 = level * min(critical) if critical else scale * scale
+    radii = _level_radii(g, d, h2, np.zeros_like(g))
+    for gv, r in zip(g, radii):
+        if gv > 0.0:
+            hi = math.sqrt(h2) * (1.0 + 1e-12)
+        else:
+            fold = (d * -gv) ** (-1.0 / (d - 2)) if gv < 0.0 else math.inf
+            hi = min(fold, math.sqrt(3.0 * h2))
+        expected = brentq(lambda t: t * t + 2.0 * gv * t ** d - h2, 0.0, hi,
+                          xtol=1e-16, rtol=8.9e-16, maxiter=200)
+        assert abs(r - expected) <= 1e-12 * expected, (gv, r, expected)
+
 
 class TestSmoothPeriod:
     def test_equals_two_sided_transit_of_cloned_system(self):
@@ -154,6 +250,13 @@ class TestSmoothPeriod:
     def test_zero_side_gives_two_pi(self):
         sys = PiecewiseSystem(zero(3), zero(3))
         assert smooth_period(sys, "upper", 0.7) == 2 * math.pi
+
+    def test_vanishing_angular_speed_raises(self):
+        # 1 + 2 g = 1e-13 at theta = 0, a trapezoid node: the quadratic side
+        # barely turns there, so the rotation time has no finite value to trust
+        sys = PiecewiseSystem(hp(2, F(-1, 2) + F(1, 2 * 10**13), 0, 0), zero(2))
+        with pytest.raises(RootBracketFailure, match="angular speed vanished"):
+            smooth_period(sys, "upper", 0.3)
 
     def test_quadratic_side_closed_form(self):
         # speed 1 + 2g is radius free; for (3/2)x^2 the full period is

@@ -12,8 +12,10 @@ from pwperiod import (
     TWO_PI,
     UPPER,
     HomogeneousPoly,
+    PiecewiseSystem,
     TrigValue,
     as_fraction,
+    first_obstruction,
     profile_power_integral,
     trig_moment,
 )
@@ -184,6 +186,27 @@ class TestHomogeneousPoly:
         p = hp(3, 0, 1, 0, 0)
         assert p.scaled(F(1, 2)).coeffs == (0, F(1, 2), 0, 0)
         assert p.scaled(0).is_zero()
+
+    def test_coefficient_beyond_float_range_keeps_the_exact_layer(self):
+        # the float coefficients are built on first numeric use only
+        p = HomogeneousPoly(2, [F(10**400), 0, 0])
+        assert profile_power_integral(p, 1, FULL) == TrigValue(0, F(10**400))
+        q = HomogeneousPoly(3, [0, F(10**400), 0, 0])
+        system = PiecewiseSystem(q, hp(3, 0, 0, 0, 1))
+        assert first_obstruction(system, 4) == (1, TrigValue(-2 * 10**400 + 4))
+        for poly in (p, q):
+            with pytest.raises(OverflowError):
+                poly(0.5, 0.5)
+            with pytest.raises(OverflowError):
+                poly.gradient(0.5, 0.5)
+
+    def test_gradient_beyond_float_range_raises_on_first_use(self):
+        # 1e308 fits a float, its x-derivative coefficient 2e308 does not
+        p = hp(3, 0, F(10**308), 0, 0)
+        assert p.power(2)[2] == F(10**616)
+        for evaluate in (p, p.gradient):
+            with pytest.raises(OverflowError):
+                evaluate(0.5, 0.5)
 
 
 def test_profile_power_integral_known():
