@@ -39,9 +39,7 @@ from .errors import (
 )
 from .flow import (
     HalfOrbitResult,
-    MonotonicityCheck,
     correspondence_gap,
-    h_monotonicity_check,
     half_orbit,
     numeric_period,
     quadrature_period,
@@ -74,12 +72,9 @@ from .systems import (
     PiecewiseSystem,
     annulus_bound,
     classify,
-    hamiltonian,
-    min_annulus_radius,
     min_start_cap,
     normalize,
     start_radius_cap,
-    vector_field,
 )
 from .trigmoments import (
     FULL,

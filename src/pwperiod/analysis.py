@@ -17,7 +17,12 @@ import numpy as np
 
 from .errors import DegreeTooLow, HypothesisNotMet, NotACenter
 from .flow import numeric_period, quadrature_period, smooth_period
-from .periodseries import PeriodSeries, combined_period_series, first_obstruction
+from .periodseries import (
+    PeriodSeries,
+    combined_period_series,
+    first_obstruction,
+    jmax_for_order,
+)
 from .systems import (
     LOWER_SIDE,
     SIDES,
@@ -160,13 +165,7 @@ def cross_validate(sys: PiecewiseSystem, order: int, grid) -> float:
     shrink like the first dropped exponent when the grid is scaled down,
     which the acceptance tests check by halving the grid.
     """
-    steps = [p.degree - 2 for p in (sys.upper, sys.lower)
-             if not p.is_zero() and p.degree >= 3]
-    if not steps:
-        jmax = 1
-    else:
-        jmax = max(-(-order // s) for s in steps) + 1
-    series = combined_period_series(sys, jmax=jmax).truncate(order)
+    series = combined_period_series(sys, jmax=jmax_for_order(sys, order)).truncate(order)
     worst = 0.0
     for r0 in grid:
         worst = max(worst, abs(numeric_period(sys, float(r0)) - series(float(r0))))

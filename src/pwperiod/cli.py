@@ -17,9 +17,13 @@ File format, line oriented, '#' starts a comment anywhere:
     tol = 1e-6
     seed = 0
 
-Coefficients are exact rationals ("2", "-1/3").  Exit codes: 0 analysis
-completed (whatever the verdict), 2 malformed input file or option out of
-range, 3 numerical failure during analysis.
+Coefficients are exact rationals ("2", "-1/3").  Option ranges:
+1 <= order <= 128, 1 <= samples <= 100000, rmax and tol positive and
+finite, seed >= 0.  The upper bounds keep every run finite in time and
+memory: the exact series at order 128 takes seconds to minutes and about
+100 MB, and each sample radius holds one table row.  Exit codes:
+0 analysis completed (whatever the verdict), 2 malformed input file or
+option out of range, 3 numerical failure during analysis.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .errors import (
     StepFailure,
 )
 from .flow import correspondence_gap, numeric_period
-from .periodseries import combined_period_series
+from .periodseries import combined_period_series, jmax_for_order
 from .systems import (
     SIDES,
     SIGMA_CENTER,
@@ -75,6 +79,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "r0,T_numeric,T_series,deviation"
+MAX_ORDER = 128
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -121,9 +127,9 @@ def _fail(msg: str, line_no: int, line: str, token: str | None = None):
 
 def _bad_option(options: AnalysisOptions) -> str | None:
     """Name of the first option outside its range, or None if all are valid."""
-    checks = (("order", options.order >= 1),
+    checks = (("order", 1 <= options.order <= MAX_ORDER),
               ("rmax", 0.0 < options.rmax < math.inf),
-              ("samples", options.samples >= 1),
+              ("samples", 1 <= options.samples <= MAX_SAMPLES),
               ("tol", 0.0 < options.tol < math.inf),
               ("seed", options.seed >= 0))
     return next((key for key, ok in checks if not ok), None)
@@ -276,10 +282,7 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
     series = None
     obstruction = None
     try:
-        steps = [p.degree - 2 for p in (system.upper, system.lower)
-                 if not p.is_zero() and p.degree >= 3]
-        jmax = max((-(-options.order // s) for s in steps), default=1)
-        full = combined_period_series(system, jmax=max(jmax, 1))
+        full = combined_period_series(system, jmax=jmax_for_order(system, options.order))
         series = full.truncate(options.order)
         obstruction = next(full.items(), None)
     except DegreeTooLow:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -48,13 +48,11 @@ DRIFT_BOUND = 1e-10
 
 __all__ = [
     "HalfOrbitResult",
-    "MonotonicityCheck",
     "half_orbit",
     "correspondence_gap",
     "numeric_period",
     "quadrature_period",
     "smooth_period",
-    "h_monotonicity_check",
 ]
 
 
@@ -67,16 +65,6 @@ class HalfOrbitResult:
     energy_drift: float
     steps: int
     degraded: bool
-
-
-class MonotonicityCheck(NamedTuple):
-    """Result of the energy-versus-radius monotonicity scan."""
-
-    ok: bool
-    failure_r0: float | None
-
-    def __bool__(self) -> bool:  # truthiness mirrors the verdict
-        return self.ok
 
 
 def _check_start(sys: PiecewiseSystem, side: str, r0: float, rng: str) -> None:
@@ -98,13 +86,15 @@ def _check_start(sys: PiecewiseSystem, side: str, r0: float, rng: str) -> None:
 
 
 def _make_rhs(p: HomogeneousPoly, reverse: bool) -> Callable:
-    gradient = p.gradient
+    """Field (-dH/dy, dH/dx) of the side with nonlinearity p, negated if reverse."""
+    _, form_x, form_y = p.forms()
     sign = -1.0 if reverse else 1.0
 
     def rhs(t, s):
-        x, y = s
-        px, py = gradient(x, y)
-        return (sign * (-y - py), sign * (x + px))
+        # Python floats: scalar arithmetic on numpy scalars costs several times more
+        x = float(s[0])
+        y = float(s[1])
+        return (sign * (-y - form_y(x, y)), sign * (x + form_x(x, y)))
 
     return rhs
 
@@ -169,14 +159,12 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float, *,
             f"{side} transit ended on the starting ray; the orbit is not a crossing orbit"
         )
 
-    def energy(u: float, v: float) -> float:
+    def energy(u, v):
         return 0.5 * (u * u + v * v) + p(u, v)
 
     h0 = energy(r_start, 0.0)
     scale = max(abs(h0), 1e-30)
-    drift = 0.0
-    for xi, yi in zip(sol.y[0], sol.y[1]):
-        drift = max(drift, abs(energy(float(xi), float(yi)) - h0))
+    drift = float(np.abs(energy(sol.y[0], sol.y[1]) - h0).max())
     drift = max(drift, abs(energy(x, y) - h0)) / scale
     return HalfOrbitResult(
         r_end=math.hypot(x, y),
@@ -401,25 +389,3 @@ def smooth_period(sys: PiecewiseSystem, side: str, r0: float) -> float:
     """Whole-circle period of one side treated as a smooth system."""
     _check_start(sys, side, r0, "full")
     return _level_time_integral(sys.side(side), r0, 0.0, 2.0 * math.pi)
-
-
-def h_monotonicity_check(sys: PiecewiseSystem, side: str,
-                         grid) -> MonotonicityCheck:
-    """Verify dh/dr0 > 0 across the grid for the side's axis relation.
-
-    With h^2 = r0^2 + 2 a0 r0^degree the derivative is
-    (r0 + degree * a0 * r0^(degree-1)) / h; it stays positive inside the
-    period annulus and fails exactly where the annulus ends on the axis ray.
-    """
-    p = sys.side(side)
-    d = p.degree
-    a0 = float(p.axis_value)
-    for r0 in grid:
-        r0 = float(r0)
-        if r0 <= 0.0:
-            return MonotonicityCheck(False, r0)
-        radicand = r0 * r0 + 2.0 * a0 * r0 ** d
-        numerator = r0 + d * a0 * r0 ** (d - 1)
-        if radicand <= 0.0 or numerator <= 0.0:
-            return MonotonicityCheck(False, r0)
-    return MonotonicityCheck(True, None)

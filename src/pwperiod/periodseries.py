@@ -52,6 +52,7 @@ __all__ = [
     "full_period_energy_series",
     "combined_period_series",
     "first_obstruction",
+    "jmax_for_order",
 ]
 
 
@@ -259,6 +260,16 @@ def combined_period_series(sys, jmax: int = 8) -> PeriodSeries:
             if e <= order:
                 terms[e] = terms.get(e, TRIG_ZERO) + c
     return PeriodSeries(upper.constant + lower.constant, terms, RADIUS, order)
+
+
+def jmax_for_order(sys, order: int) -> int:
+    """Smallest jmax whose combined series is complete through r0^order.
+
+    Each side of grid step s is complete through jmax * s, so jmax is the
+    largest ceil(order / s), and at least 1.
+    """
+    steps = [s for s in map(_grid_step, (sys.upper, sys.lower)) if s]
+    return max([1, *(-(-order // s) for s in steps)])
 
 
 def first_obstruction(sys, jmax: int = 8) -> tuple[int, TrigValue] | None:

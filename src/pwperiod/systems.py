@@ -37,11 +37,8 @@ __all__ = [
     "AnnulusEstimate",
     "classify",
     "normalize",
-    "vector_field",
-    "hamiltonian",
     "profile_min",
     "annulus_bound",
-    "min_annulus_radius",
     "start_radius_cap",
     "min_start_cap",
     "SIGMA_CENTER",
@@ -170,19 +167,6 @@ def _reflect(p: HomogeneousPoly) -> HomogeneousPoly:
     return HomogeneousPoly(p.degree, tuple(sign * c for c in p.coeffs))
 
 
-def vector_field(sys: PiecewiseSystem, x: float, y: float) -> tuple[float, float]:
-    """Field (-dH/dy, dH/dx) of the side active at (x, y); y = 0 uses the upper."""
-    p = sys.upper if y >= 0.0 else sys.lower
-    px, py = p.gradient(x, y)
-    return (-y - py, x + px)
-
-
-def hamiltonian(sys: PiecewiseSystem, x: float, y: float) -> float:
-    """Energy of the side active at (x, y)."""
-    p = sys.upper if y >= 0.0 else sys.lower
-    return 0.5 * (x * x + y * y) + p(x, y)
-
-
 def _angle_range(side: str, rng: str) -> tuple[float, float]:
     """Angles a side's orbit pieces cross: its own half circle or all of it."""
     if rng == "transit":
@@ -249,22 +233,6 @@ def annulus_bound(sys: PiecewiseSystem, side: str, rng: str = "full") -> Annulus
         return AnnulusEstimate(side, math.inf, None)
     r_star = (d * (-gmin)) ** (-1.0 / (d - 2))
     return AnnulusEstimate(side, r_star, theta)
-
-
-def min_annulus_radius(sys: PiecewiseSystem) -> float:
-    """Smallest annulus bound over both sides; inf when both are unbounded.
-
-    Sides of degree 2 have no r-dependent angular obstruction and count as
-    unbounded here.
-    """
-    out = math.inf
-    for side in SIDES:
-        p = sys.side(side)
-        if p.is_zero() or p.degree == 2:
-            continue
-        est = annulus_bound(sys, side)
-        out = min(out, est.r_star)
-    return out
 
 
 def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> float:

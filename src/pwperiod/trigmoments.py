@@ -6,6 +6,16 @@ only ever adds such values and scales them by rationals, so a pi^2 term can
 never legitimately appear; ``TrigValue`` enforces this by refusing to multiply
 two values that both carry a pi part.
 
+Float evaluation is separate: ``HomogeneousPoly`` evaluates p, dp/dx and
+dp/dy through generated forms.  For each float coefficient tuple one
+straight-line Python function is written and compiled once, then cached:
+it builds the powers ``x1 = x``, ``x2 = x1 * x``, ..., ``y1 = y``, ...,
+sets ``total = 0.0`` and adds ``c_i * x_(d-i) * y_i`` for each nonzero
+coefficient in index order.  The terms stay in that fixed order, with
+each power built by repeated multiplication, because the ODE clock's
+times depend on the exact sequence of float operations to the last bit.
+Each form takes floats or numpy arrays alike.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -192,13 +202,22 @@ class HomogeneousPoly:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def forms(self) -> tuple[Callable, Callable, Callable]:
+        """Compiled float evaluators ``f(x, y)`` of p, dp/dx and dp/dy.
+
+        Each takes floats or numpy arrays.  They live in a module-level
+        cache keyed on the float coefficients, not on the polynomial, so a
+        HomogeneousPoly stays picklable.
+        """
+        return tuple(_compiled_form(cs) for cs in self._floats or self.float_coeffs())
+
     def __call__(self, x: float, y: float) -> float:
-        return _eval_form((self._floats or self.float_coeffs())[0], x, y)
+        return _compiled_form((self._floats or self.float_coeffs())[0])(x, y)
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
         """Float value of (dp/dx, dp/dy) at (x, y)."""
         _, px, py = self._floats or self.float_coeffs()
-        return _eval_form(px, x, y), _eval_form(py, x, y)
+        return _compiled_form(px)(x, y), _compiled_form(py)(x, y)
 
     def profile(self, theta: float) -> float:
         """Restriction to the unit circle, p(cos(theta), sin(theta))."""
@@ -239,23 +258,38 @@ class HomogeneousPoly:
         return f"HomogeneousPoly({self._degree}, {list(self._coeffs)!r})"
 
 
-def _eval_form(coeffs: tuple[float, ...], x: float, y: float) -> float:
-    """Float value of sum(coeffs[i] * x^(d-i) * y^i), skipping zero terms.
+# Bounded so that a long session building many polynomials keeps a bounded
+# number of compiled functions; a live polynomial rebuilds an evicted one.
+@lru_cache(maxsize=1024)
+def _compiled_form(coeffs: tuple[float, ...]) -> Callable:
+    """Straight-line evaluator of sum(coeffs[i] * x^(d-i) * y^i).
 
-    Terms are added in index order; the ODE clock's times depend on that
-    order to the last bit.
+    The function is written as one statement per power and per nonzero
+    term, not as one nested expression, so a degree in the thousands
+    compiles.  It runs the float operations of a plain loop over the
+    coefficients, in the same order: powers by repeated multiplication,
+    ``total = 0.0``, then ``total += c_i * x_(d-i) * y_i`` for each nonzero
+    term in index order (a power 0, the factor 1.0, is left out, which is
+    exact).  The coefficients enter the namespace of ``exec`` as values;
+    the source holds generated names only.
     """
     d = len(coeffs) - 1
-    xs = [1.0] * (d + 1)
-    for i in range(1, d + 1):
-        xs[i] = xs[i - 1] * x
-    total = 0.0
-    yp = 1.0
-    for i, c in enumerate(coeffs):
-        if c:
-            total += c * xs[d - i] * yp
-        yp *= y
-    return total
+    terms = [(i, c) for i, c in enumerate(coeffs) if c]
+    namespace = {f"c{i}": c for i, c in terms}
+    lines = ["def form(x, y):"]
+    if terms:
+        lines += [f"    x{k} = x{k - 1} * x" if k > 1 else "    x1 = x"
+                  for k in range(1, d - terms[0][0] + 1)]
+        lines += [f"    y{k} = y{k - 1} * y" if k > 1 else "    y1 = y"
+                  for k in range(1, terms[-1][0] + 1)]
+    lines.append("    total = 0.0")
+    for i, _ in terms:
+        # a * b * c groups as (a * b) * c
+        factors = [f"c{i}"] + [f"x{d - i}"] * (i < d) + [f"y{i}"] * (i > 0)
+        lines.append("    total += " + " * ".join(factors))
+    lines.append("    return total")
+    exec(compile("\n".join(lines), "<homogeneous form>", "exec"), namespace)
+    return namespace["form"]
 
 
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -325,8 +325,15 @@ class TestCsvAndMain:
     @pytest.mark.parametrize("override", [
         ["--samples", "0"], ["--rmax", "-1"], ["--rmax", "nan"], ["--rmax", "inf"],
         ["--order", "0"], ["--tol", "0"], ["--tol", "inf"],
+        ["--samples", "1000000000000"], ["--order", "1000000000"],
     ], ids=" ".join)
-    def test_main_rejects_out_of_range_override(self, tmp_path, capsys, override):
+    def test_main_rejects_out_of_range_override(self, tmp_path, capsys, monkeypatch,
+                                                override):
+        def builds_nothing(system, options):
+            raise AssertionError("an out-of-range option reached the grid and the series")
+
+        # the check runs before any grid or series exists
+        monkeypatch.setattr(cli, "run_report", builds_nothing)
         spec = tmp_path / "sys.txt"
         spec.write_text(GOOD)
         assert main([str(spec), *override]) == 2
@@ -354,9 +361,10 @@ def good_spec(tmp_path_factory):
 
 _out_of_range_float = st.one_of(st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan))
 OUT_OF_RANGE = {
-    "order": st.integers(max_value=0),
+    "order": st.one_of(st.integers(max_value=0), st.integers(min_value=cli.MAX_ORDER + 1)),
     "rmax": _out_of_range_float,
-    "samples": st.integers(max_value=0),
+    "samples": st.one_of(st.integers(max_value=0),
+                         st.integers(min_value=cli.MAX_SAMPLES + 1)),
     "tol": _out_of_range_float,
     "seed": st.integers(max_value=-1),
 }
@@ -369,3 +377,24 @@ def test_main_exits_cleanly_on_out_of_range_overrides(good_spec, overrides):
     # "--key=value" keeps argparse from reading "-inf" as an option name
     argv = [good_spec] + [f"--{key}={value}" for key, value in overrides.items()]
     assert main(argv) == 2
+
+
+@st.composite
+def valid_spec_text(draw):
+    """A spec that parse_spec accepts: any small system, in-range options."""
+    options = AnalysisOptions(order=draw(st.integers(1, 12)),
+                              rmax=draw(st.floats(1e-3, 2.0)),
+                              samples=draw(st.integers(1, 4)),
+                              tol=draw(st.floats(1e-12, 1.0)),
+                              seed=draw(st.integers(0, 2**32)))
+    return format_spec(draw(poly_text_system()), options)
+
+
+@given(text=valid_spec_text())
+@settings(max_examples=25, deadline=None)
+def test_main_exits_cleanly_on_valid_specs(good_spec, text):
+    # the module-scoped directory of good_spec; each example overwrites one file
+    spec = good_spec + ".valid"
+    with open(spec, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert main([spec]) in (0, 2, 3)

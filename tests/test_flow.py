@@ -16,14 +16,13 @@ from pwperiod import (
     RootBracketFailure,
     correspondence_gap,
     combined_period_series,
-    h_monotonicity_check,
     half_orbit,
     numeric_period,
     quadrature_period,
     smooth_period,
     start_radius_cap,
 )
-from pwperiod.flow import MonotonicityCheck, _level_radii
+from pwperiod.flow import _level_radii
 from pwperiod.systems import profile_min
 
 from conftest import CENTER_SUITE, NONCENTER_SUITE, hp, zero
@@ -264,27 +263,3 @@ class TestSmoothPeriod:
         sys = PiecewiseSystem(hp(2, F(3, 2), 0, 0), zero(2))
         assert abs(smooth_period(sys, "upper", 0.3) - math.pi) < 1e-12
         assert abs(smooth_period(sys, "upper", 0.9) - math.pi) < 1e-12
-
-
-class TestHMonotonicity:
-    def test_passes_inside_cap(self):
-        check = h_monotonicity_check(X3_Y3, "upper", [0.01, 0.05, 0.1, 0.16])
-        assert check.ok
-        assert check.failure_r0 is None
-        assert bool(check)
-
-    def test_fails_past_turning_point_for_negative_axis(self):
-        sys = PiecewiseSystem(hp(3, -1, 0, 0, 0), zero(3))  # -x^3
-        check = h_monotonicity_check(sys, "upper", [0.1, 0.2, 0.34])
-        assert not check.ok
-        assert check.failure_r0 == 0.34
-        assert not bool(check)
-
-    def test_rejects_nonpositive_grid_point(self):
-        check = h_monotonicity_check(X3_Y3, "upper", [0.1, -0.2])
-        assert not check.ok
-        assert check.failure_r0 == -0.2
-
-    def test_namedtuple_shape(self):
-        check = MonotonicityCheck(True, None)
-        assert check == (True, None)

@@ -20,6 +20,7 @@ from pwperiod import (
     half_period_energy_series,
     half_period_radius_series,
 )
+from pwperiod.periodseries import jmax_for_order
 from pwperiod.trigmoments import PI, TWO_PI
 
 from conftest import CENTER_SUITE, KNOWN_OBSTRUCTIONS, hp, zero
@@ -199,3 +200,23 @@ def test_series_agrees_between_jmax_levels():
     high = combined_period_series(sys, jmax=8)
     for e, c in low.items():
         assert high.coefficient(e) == c
+
+
+def test_jmax_for_order_is_complete_through_the_order():
+    # one more j adds nothing at or below the order: cross_validate, which
+    # used jmax + 1, and run_report, which used jmax, truncate to one series
+    for name, (sys, _) in CENTER_SUITE.items():
+        if any(p.degree == 2 and not p.is_zero() for p in (sys.upper, sys.lower)):
+            with pytest.raises(DegreeTooLow):
+                combined_period_series(sys, jmax=jmax_for_order(sys, 1))
+            continue
+        by_jmax = {}
+        for order in range(1, 11):
+            jmax = jmax_for_order(sys, order)
+            for j in (jmax, jmax + 1):
+                if j not in by_jmax:
+                    by_jmax[j] = combined_period_series(sys, jmax=j)
+            series = by_jmax[jmax].truncate(order)
+            assert series.truncation_order == order, (name, order)
+            assert series == by_jmax[jmax + 1].truncate(order), (name, order)
+    assert jmax_for_order(PiecewiseSystem(zero(3), zero(4)), 5) == 1

@@ -11,14 +11,12 @@ from pwperiod import (
     PiecewiseSystem,
     annulus_bound,
     classify,
-    hamiltonian,
-    min_annulus_radius,
     min_start_cap,
     normalize,
     numeric_period,
     start_radius_cap,
-    vector_field,
 )
+from pwperiod.flow import _make_rhs
 from pwperiod.systems import profile_min
 
 from conftest import CENTER_SUITE, NONCENTER_SUITE, hp, zero
@@ -92,23 +90,21 @@ class TestNormalize:
 
 
 def test_vector_field_values():
+    # the field the ODE clock integrates on each side, (-dH/dy, dH/dx)
     sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))  # x^2 y / y^3
+    upper, lower = (_make_rhs(p, reverse=False) for p in (sys.upper, sys.lower))
     # upper: xdot = -y - x^2, ydot = x + 2xy
-    xd, yd = vector_field(sys, 0.5, 0.2)
+    xd, yd = upper(0.0, np.array([0.5, 0.2]))
     assert math.isclose(xd, -0.2 - 0.25, rel_tol=1e-15)
     assert math.isclose(yd, 0.5 + 2 * 0.5 * 0.2, rel_tol=1e-15)
     # lower: xdot = -y - 3y^2, ydot = x
-    xd, yd = vector_field(sys, 0.5, -0.2)
+    xd, yd = lower(0.0, np.array([0.5, -0.2]))
     assert math.isclose(xd, 0.2 - 3 * 0.04, rel_tol=1e-14)
     assert math.isclose(yd, 0.5, rel_tol=1e-15)
+    # the lower transit runs the reversed field
+    assert _make_rhs(sys.lower, reverse=True)(0.0, np.array([0.5, -0.2])) == (-xd, -yd)
     # rotation is counterclockwise near the origin: at (r, 0+) ydot > 0
-    assert vector_field(sys, 0.01, 0.0)[1] > 0
-
-
-def test_hamiltonian_values():
-    sys = PiecewiseSystem(hp(3, 1, 0, 0, 0), hp(3, 0, 0, 0, 1))  # x^3 / y^3
-    assert math.isclose(hamiltonian(sys, 0.1, 0.0), 0.005 + 0.001, rel_tol=1e-15)
-    assert math.isclose(hamiltonian(sys, 0.0, -0.2), 0.02 - 0.008, rel_tol=1e-15)
+    assert upper(0.0, np.array([0.01, 0.0]))[1] > 0
 
 
 class TestAnnulusBound:
@@ -134,12 +130,6 @@ class TestAnnulusBound:
         sys = PiecewiseSystem(hp(2, 1, 0, 0), zero(2))
         with pytest.raises(DegreeTooLow):
             annulus_bound(sys, "upper")
-
-    def test_min_annulus_radius(self):
-        sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))
-        assert abs(min_annulus_radius(sys) - 1 / 3) < 1e-12
-        both_free = PiecewiseSystem(hp(4, 0, 0, 1, 0, 0), zero(4))
-        assert min_annulus_radius(both_free) == math.inf
 
 
 class TestProfileMin:

@@ -1,8 +1,16 @@
+import copy
 import math
+import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+
+import pwperiod
 
 from pwperiod import (
     FULL,
@@ -19,6 +27,8 @@ from pwperiod import (
     profile_power_integral,
     trig_moment,
 )
+from pwperiod.systems import annulus_bound
+from pwperiod.trigmoments import _compiled_form
 
 from conftest import hp
 
@@ -230,3 +240,87 @@ def test_profile_power_integral_against_quadrature():
         exact = float(profile_power_integral(p, j, UPPER))
         num, _ = quad(lambda t: p.profile(t) ** j, 0, math.pi, limit=100)
         assert abs(exact - num) < 1e-10
+
+
+def reference_form(coeffs, x, y):
+    """The loop the generated forms replaced, kept as their reference."""
+    d = len(coeffs) - 1
+    xs = [1.0] * (d + 1)
+    for i in range(1, d + 1):
+        xs[i] = xs[i - 1] * x
+    total = 0.0
+    yp = 1.0
+    for i, c in enumerate(coeffs):
+        if c:
+            total += c * xs[d - i] * yp
+        yp *= y
+    return total
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    both_nan = np.isnan(a) & np.isnan(b)
+    return a.shape == b.shape and bool(np.all(both_nan | (a.view(np.uint64) == b.view(np.uint64))))
+
+
+_coeff_float = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+_point = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def float_form(draw):
+    degree = draw(st.integers(2, 12))
+    return tuple(draw(st.lists(_coeff_float, min_size=degree + 1, max_size=degree + 1)))
+
+
+class TestCompiledForms:
+    @given(coeffs=float_form(), x=_point, y=_point,
+           xs=st.lists(_point, min_size=1, max_size=8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_reference_loop(self, coeffs, x, y, xs, data):
+        form = _compiled_form(coeffs)
+        assert same_bits(form(x, y), reference_form(coeffs, x, y))
+        assert same_bits(form(np.float64(x), np.float64(y)), reference_form(coeffs, x, y))
+        ys = data.draw(st.lists(_point, min_size=len(xs), max_size=len(xs)))
+        xa, ya = np.array(xs), np.array(ys)
+        got = form(xa, ya)
+        assert same_bits(got, reference_form(coeffs, xa, ya))
+        # an all-zero form gives the scalar 0.0, as the loop did
+        got = np.broadcast_to(got, xa.shape)
+        assert same_bits(got, [reference_form(coeffs, u, v) for u, v in zip(xs, ys)])
+        # HomogeneousPoly evaluates through the same forms
+        p = HomogeneousPoly(len(coeffs) - 1, [F(c) for c in coeffs])
+        values, px, py = p.float_coeffs()
+        assert values == coeffs
+        assert same_bits(p(x, y), reference_form(coeffs, x, y))
+        assert same_bits(p.gradient(x, y), (reference_form(px, x, y), reference_form(py, x, y)))
+
+    def test_all_zero_form(self):
+        form = _compiled_form((0.0, 0.0, 0.0))
+        assert same_bits(form(0.3, -0.2), 0.0)
+        assert same_bits(HomogeneousPoly.zero(4).gradient(1.5, 2.0), (0.0, 0.0))
+
+    def test_degree_1000_evaluates(self):
+        p = HomogeneousPoly(1000, [F((-1) ** i, i + 1) for i in range(1001)])
+        x, y = 0.75, -0.5
+        values, px, py = p.float_coeffs()
+        assert same_bits(p(x, y), reference_form(values, x, y))
+        assert same_bits(p.gradient(x, y), (reference_form(px, x, y), reference_form(py, x, y)))
+        xa, ya = np.array([x, 0.5, 1.0]), np.array([y, 0.25, 0.0])
+        assert same_bits(p(xa, ya), reference_form(values, xa, ya))
+
+    def test_pickle_and_deepcopy_after_numeric_use(self):
+        p = hp(3, 0, 1, 0, 0)
+        system = PiecewiseSystem(p, hp(3, 0, 0, 0, 1))
+        value, grad = p(0.3, 0.4), p.gradient(0.3, 0.4)
+        bound = annulus_bound(system, "upper")  # fills the profile memo
+        for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert clone == p
+            assert same_bits(clone(0.3, 0.4), value)
+            assert same_bits(clone.gradient(0.3, 0.4), grad)
+        again = pickle.loads(pickle.dumps(system))
+        assert annulus_bound(again, "upper") == bound
+
+    def test_reference_loop_is_gone_from_the_package(self):
+        sources = Path(pwperiod.__file__).parent.glob("*.py")
+        assert not [f.name for f in sources if "_eval_form" in f.read_text(encoding="utf-8")]
