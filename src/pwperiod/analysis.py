@@ -24,21 +24,22 @@ from .periodseries import (
     jmax_for_order,
 )
 from .systems import (
-    LOWER_SIDE,
-    SIDES,
     SIGMA_CENTER,
-    UPPER_SIDE,
     CenterClass,
     PiecewiseSystem,
     annulus_bound,
     classify,
     min_start_cap,
-    profile_min,
     start_radius_cap,
 )
-from .trigmoments import UPPER, LOWER, TrigValue, profile_power_integral
+from .trigmoments import TrigValue, profile_power_integral
 
 TWO_PI = 2.0 * math.pi
+# radii at which the monotonicity tag samples a side's whole-circle period
+PROFILE_POINTS = 9
+# odd powers of the profile whose half-range moments must vanish before an
+# even exponent side may use the half-period identity
+MOMENT_BOUND = 15
 
 DECREASING = "decreasing"
 INCREASING_UNBOUNDED = "increasing_unbounded"
@@ -172,32 +173,24 @@ def cross_validate(sys: PiecewiseSystem, order: int, grid) -> float:
     return worst
 
 
-def _profile_grid(sys: PiecewiseSystem, side: str, points: int = 9):
-    p = sys.side(side)
-    if p.is_zero() or p.degree == 2:
-        return np.linspace(0.05, 1.0, points)
-    cap = start_radius_cap(sys, side, "full")
-    top = 0.8 * cap if math.isfinite(cap) else 1.0
-    return np.linspace(0.05 * top, top, points)
-
-
-def monotonicity_profile(sys: PiecewiseSystem, side: str, grid=None) -> str:
+def monotonicity_profile(sys: PiecewiseSystem, side: str) -> str:
     """Tag the sampled whole-circle period profile of one side.
 
-    Samples the side as a smooth system on the grid and classifies the
-    shape: constant, decreasing, increasing (reported as unbounded growth
-    when the annulus is bounded, which is what forces the increase to
-    continue), or a single interior minimum.
+    Samples the side as a smooth system on PROFILE_POINTS radii up to 0.8
+    of its whole-circle start cap (up to 1 when the cap is unlimited) and
+    classifies the shape: constant, decreasing, increasing (reported as
+    unbounded growth when the annulus is bounded, which is what forces the
+    increase to continue), or a single interior minimum.
     """
     p = sys.side(side)
     if p.is_zero():
         return CONSTANT
     if p.degree == 2:
         raise DegreeTooLow("period profile needs nonlinearity degree >= 3")
-    if grid is None:
-        grid = _profile_grid(sys, side)
-    grid = [float(r) for r in grid]
-    values = [smooth_period(sys, side, r) for r in grid]
+    cap = start_radius_cap(sys, side, "full")
+    top = 0.8 * cap if math.isfinite(cap) else 1.0
+    values = [smooth_period(sys, side, float(r))
+              for r in np.linspace(0.05 * top, top, PROFILE_POINTS)]
     scale = max(abs(v) for v in values)
     tol = 1e-9 * scale
     if max(values) - min(values) <= tol:
@@ -218,22 +211,18 @@ def monotonicity_profile(sys: PiecewiseSystem, side: str, grid=None) -> str:
 def predicted_profiles(sys: PiecewiseSystem, side: str) -> set[str]:
     """Profile tags consistent with the side's exponent parity and sign of g."""
     p = sys.side(side)
-    if p.is_zero():
-        return {CONSTANT}
-    if p.degree == 2:
+    if p.is_zero() or p.degree == 2:
         return {CONSTANT}
     n = p.degree - 1
     if n % 2 == 0:
         return {INCREASING_UNBOUNDED}
-    gmin = profile_min(p, 0.0, 2.0 * math.pi)[0]
-    scale = max(1.0, float(sum(abs(c) for c in p.coeffs)))
-    if gmin >= -1e-12 * scale:
+    if not annulus_bound(sys, side).bounded:
         return {DECREASING}
     return {INCREASING_UNBOUNDED, MIN_CRITICAL}
 
 
 def half_equals_half_full_check(sys: PiecewiseSystem, side: str, grid,
-                                tol: float = 1e-8, moment_bound: int = 15) -> bool:
+                                tol: float = 1e-8) -> bool:
     """Check T_half == T_full / 2 for one side across the grid.
 
     The identity requires either an odd exponent or vanishing odd half-range
@@ -245,9 +234,9 @@ def half_equals_half_full_check(sys: PiecewiseSystem, side: str, grid,
         return True
     n = p.degree - 1
     if n % 2 == 0:
-        rng = UPPER if side == UPPER_SIDE else LOWER
-        for j in range(1, moment_bound + 1, 2):
-            if not profile_power_integral(p, j, rng).is_zero():
+        # a side name is also the range tag of its half circle
+        for j in range(1, MOMENT_BOUND + 1, 2):
+            if not profile_power_integral(p, j, side).is_zero():
                 raise HypothesisNotMet(
                     f"even exponent side with nonvanishing odd moment at power {j}; "
                     "the half-period identity does not apply"

@@ -58,7 +58,6 @@ from .flow import correspondence_gap, numeric_period
 from .periodseries import combined_period_series, jmax_for_order
 from .systems import (
     SIDES,
-    SIGMA_CENTER,
     HomogeneousPoly,
     PiecewiseSystem,
     annulus_bound,

@@ -6,9 +6,8 @@ quadrature of dtheta / (angular speed) along the exact level curve.  The
 pair must agree to tight tolerance; tests rely on both routes staying
 separate, so neither should ever call the other.
 
-The quadrature works on arrays of angles.  A whole circle takes the
-trapezoid rule, which converges geometrically on the periodic analytic
-integrand; a half circle takes Gauss-Legendre, with the nodes cached per
+The quadrature works on arrays of angles with one rule, Gauss-Legendre,
+on a half circle and on the whole circle alike; the nodes are cached per
 count.  The node count doubles until two successive estimates agree, and
 the level-curve radius at all nodes comes from one safeguarded Newton
 iteration.
@@ -37,13 +36,16 @@ from .systems import (
     SIGMA_CENTER,
     UPPER_SIDE,
     PiecewiseSystem,
+    _angle_range,
     annulus_bound,
     classify,
 )
 from .trigmoments import HomogeneousPoly
 
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-14
+RTOL = 1e-12
+ATOL = 1e-14
+# a transit still running at this time has no crossing to find
+MAX_TIME = 400.0
 DRIFT_BOUND = 1e-10
 
 __all__ = [
@@ -99,9 +101,7 @@ def _make_rhs(p: HomogeneousPoly, reverse: bool) -> Callable:
     return rhs
 
 
-def half_orbit(sys: PiecewiseSystem, side: str, r_start: float, *,
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-               max_time: float = 400.0) -> HalfOrbitResult:
+def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResult:
     """Transit from (r_start, 0) through one half plane to the opposite ray.
 
     The upper side is integrated forward in time; the lower side is
@@ -130,8 +130,8 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float, *,
     escape.terminal = True
     escape.direction = 1.0
 
-    sol = solve_ivp(rhs, (0.0, max_time), (r_start, 0.0), method="DOP853",
-                    rtol=rtol, atol=atol, events=(crossing, escape),
+    sol = solve_ivp(rhs, (0.0, MAX_TIME), (r_start, 0.0), method="DOP853",
+                    rtol=RTOL, atol=ATOL, events=(crossing, escape),
                     dense_output=False)
     if sol.status == -1:
         raise StepFailure(f"integrator failed on the {side} side: {sol.message}")
@@ -139,7 +139,7 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float, *,
         raise EscapedAnnulus(f"{side} orbit escaped beyond radius {escape_radius:.3g}")
     if not len(sol.t_events[0]):
         raise EscapedAnnulus(
-            f"{side} orbit produced no axis crossing within time {max_time}"
+            f"{side} orbit produced no axis crossing within time {MAX_TIME}"
         )
     t_cross = float(sol.t_events[0][0])
     x, y = (float(v) for v in sol.y_events[0][0])
@@ -175,34 +175,28 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float, *,
     )
 
 
-def correspondence_gap(sys: PiecewiseSystem, r0: float, **kwargs) -> float:
+def correspondence_gap(sys: PiecewiseSystem, r0: float) -> float:
     """Difference of the upper and lower return radii at the same start.
 
     Zero (to solver precision) exactly when the orbit through (r0, 0)
     closes; the sign says which side lands farther out.
     """
-    up = half_orbit(sys, UPPER_SIDE, r0, **kwargs)
-    lo = half_orbit(sys, LOWER_SIDE, r0, **kwargs)
+    up = half_orbit(sys, UPPER_SIDE, r0)
+    lo = half_orbit(sys, LOWER_SIDE, r0)
     return up.r_end - lo.r_end
 
 
-def numeric_period(sys: PiecewiseSystem, r0: float, **kwargs) -> float:
+def numeric_period(sys: PiecewiseSystem, r0: float) -> float:
     """Period of the closed crossing orbit through (r0, 0), by the ODE route."""
     verdict = classify(sys)
     if verdict.verdict != SIGMA_CENTER:
         raise NotACenter(f"periods need a center: {verdict.reason}")
-    up = half_orbit(sys, UPPER_SIDE, r0, **kwargs)
-    lo = half_orbit(sys, LOWER_SIDE, r0, **kwargs)
+    up = half_orbit(sys, UPPER_SIDE, r0)
+    lo = half_orbit(sys, LOWER_SIDE, r0)
     return up.time + lo.time
 
 
-def _angular_range(side: str) -> tuple[float, float]:
-    if side == UPPER_SIDE:
-        return 0.0, math.pi
-    return math.pi, 2.0 * math.pi
-
-
-# Node cap of either rule.  An integral that has not converged by then has a
+# Node cap of the rule.  An integral that has not converged by then has a
 # spike too narrow to resolve (a start radius at the edge of the annulus).
 MAX_NODES = 8192
 # Successive estimates agree to these bounds once the rule has converged.
@@ -240,20 +234,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         rule = (np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1])))
         _GAUSS_RULES[n] = rule
     return rule
-
-
-def _trapezoid_estimates(f: Callable, n: int):
-    """Trapezoid sums of f over [0, 2 pi] on n, 2n, 4n, ... nodes.
-
-    Each doubling evaluates only the midpoints of the previous nodes.
-    """
-    step = 2.0 * math.pi / n
-    total = f(step * np.arange(n)).sum()
-    yield step * total
-    while n < MAX_NODES:
-        total += f(step * (np.arange(n) + 0.5)).sum()
-        n, step = 2 * n, 0.5 * step
-        yield step * total
 
 
 def _gauss_estimates(f: Callable, lo: float, hi: float, n: int):
@@ -323,11 +303,10 @@ def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndar
 def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) -> float:
     """Integral of dtheta / angular speed along the level curve through (r0, 0).
 
-    A whole circle (hi - lo = 2 pi) takes the trapezoid rule, which
-    converges geometrically on the periodic analytic integrand; a half
-    circle takes Gauss-Legendre.  The node count doubles until two
-    successive estimates agree to QUAD_ATOL or QUAD_RTOL, and an integral
-    still moving at MAX_NODES raises QuadratureFailure.
+    Gauss-Legendre on [lo, hi], a half circle or the whole circle.  The
+    node count doubles until two successive estimates agree to QUAD_ATOL or
+    QUAD_RTOL, and an integral still moving at MAX_NODES raises
+    QuadratureFailure.
     """
     if p.is_zero():
         return hi - lo
@@ -357,17 +336,13 @@ def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) ->
             )
         return 1.0 / speed
 
-    # start above twice the degree, so that the first two trapezoid sums
-    # cannot agree by aliasing the profile's harmonics
+    # start above twice the degree, so that the first rule already resolves
+    # the profile's harmonics and two coarse estimates cannot agree by chance
     n = 32
     while n <= 2 * d:
         n *= 2
-    if hi - lo == 2.0 * math.pi:
-        estimates = _trapezoid_estimates(integrand, n)
-    else:
-        estimates = _gauss_estimates(integrand, lo, hi, n)
     previous = None
-    for value in estimates:
+    for value in _gauss_estimates(integrand, lo, hi, n):
         if previous is not None and abs(value - previous) <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
             return float(value)
         previous = value
@@ -381,11 +356,12 @@ def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) ->
 def quadrature_period(sys: PiecewiseSystem, side: str, r0: float) -> float:
     """Half period of one side by direct quadrature along the level curve."""
     _check_start(sys, side, r0, "transit")
-    lo, hi = _angular_range(side)
+    lo, hi = _angle_range(side, "transit")
     return _level_time_integral(sys.side(side), r0, lo, hi)
 
 
 def smooth_period(sys: PiecewiseSystem, side: str, r0: float) -> float:
     """Whole-circle period of one side treated as a smooth system."""
     _check_start(sys, side, r0, "full")
-    return _level_time_integral(sys.side(side), r0, 0.0, 2.0 * math.pi)
+    lo, hi = _angle_range(side, "full")
+    return _level_time_integral(sys.side(side), r0, lo, hi)

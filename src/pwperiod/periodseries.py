@@ -20,19 +20,17 @@ rational.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import DegreeTooLow, NotACenter
 from .reversion import period_coefficient
+from .systems import LOWER_SIDE, SIGMA_CENTER, UPPER_SIDE, _angle_range, classify
 from .trigmoments import (
     FULL,
-    LOWER,
     PI,
     TRIG_ZERO,
     TWO_PI,
-    UPPER,
     HomogeneousPoly,
     Rational,
     TrigValue,
@@ -123,14 +121,6 @@ def _require_series_side(p: HomogeneousPoly) -> None:
         )
 
 
-def _side_range(side: str) -> str:
-    if side == "upper":
-        return UPPER
-    if side == "lower":
-        return LOWER
-    raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-
-
 def _energy_series(p: HomogeneousPoly, rng: str, jmax: int) -> PeriodSeries:
     """Period over the angular range ``rng`` as a series in h."""
     constant = TWO_PI if rng == FULL else PI
@@ -148,8 +138,12 @@ def _energy_series(p: HomogeneousPoly, rng: str, jmax: int) -> PeriodSeries:
 
 
 def half_period_energy_series(p: HomogeneousPoly, side: str, jmax: int = 8) -> PeriodSeries:
-    """Half period of one side as a series in the energy parameter h."""
-    return _energy_series(p, _side_range(side), jmax)
+    """Half period of one side as a series in the energy parameter h.
+
+    A side name is also the range tag of its half circle.
+    """
+    _angle_range(side, "transit")  # refuses any other name
+    return _energy_series(p, side, jmax)
 
 
 def full_period_energy_series(p: HomogeneousPoly, jmax: int = 8) -> PeriodSeries:
@@ -237,10 +231,10 @@ def combined_period_series(sys, jmax: int = 8) -> PeriodSeries:
 
     The two half series live on different exponent grids when the degrees
     differ; the result is truncated at jmax * min(grid step), the largest
-    exponent through which both sides are complete.
+    exponent through which both sides are complete.  A side of grid step s
+    is expanded only to ceil(order / s), the first jmax that reaches the
+    order.
     """
-    from .systems import SIGMA_CENTER, classify  # local import avoids a cycle
-
     verdict = classify(sys)
     if verdict.verdict != SIGMA_CENTER:
         raise NotACenter(f"period series requires a center, got: {verdict.reason}")
@@ -252,10 +246,11 @@ def combined_period_series(sys, jmax: int = 8) -> PeriodSeries:
     if not steps:
         return PeriodSeries(TWO_PI, {}, RADIUS, None)
     order = jmax * min(steps)
-    upper = half_period_radius_series(sys.upper, "upper", jmax)
-    lower = half_period_radius_series(sys.lower, "lower", jmax)
+    upper = half_period_radius_series(sys.upper, UPPER_SIDE, -(-order // step_up) if step_up else 1)
+    lower = half_period_radius_series(sys.lower, LOWER_SIDE, -(-order // step_lo) if step_lo else 1)
     terms: dict[int, TrigValue] = {}
     for series in (upper, lower):
+        # ceil(order / s) * s can pass the order
         for e, c in series.items():
             if e <= order:
                 terms[e] = terms.get(e, TRIG_ZERO) + c

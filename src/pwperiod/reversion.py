@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence, Union
+from typing import Sequence
 
 from .trigmoments import Rational, as_fraction
 

@@ -79,9 +79,6 @@ class PiecewiseSystem:
             return self.lower
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
-    def side_exponent(self, side: str) -> int:
-        return self.side(side).degree - 1
-
 
 @dataclass(frozen=True)
 class CenterClass:
@@ -168,7 +165,13 @@ def _reflect(p: HomogeneousPoly) -> HomogeneousPoly:
 
 
 def _angle_range(side: str, rng: str) -> tuple[float, float]:
-    """Angles a side's orbit pieces cross: its own half circle or all of it."""
+    """Angles a side's orbit pieces cross: its own half circle or all of it.
+
+    The one map from a side name to angles.  A side name is also the exact
+    range tag of its half circle in :mod:`pwperiod.trigmoments`.
+    """
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if rng == "transit":
         return (0.0, math.pi) if side == UPPER_SIDE else (math.pi, 2.0 * math.pi)
     if rng == "full":

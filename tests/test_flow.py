@@ -17,6 +17,7 @@ from pwperiod import (
     correspondence_gap,
     combined_period_series,
     half_orbit,
+    min_start_cap,
     numeric_period,
     quadrature_period,
     smooth_period,
@@ -25,7 +26,7 @@ from pwperiod import (
 from pwperiod.flow import _level_radii
 from pwperiod.systems import profile_min
 
-from conftest import CENTER_SUITE, NONCENTER_SUITE, hp, zero
+from conftest import CENTER_SUITE, KNOWN_OBSTRUCTIONS, NONCENTER_SUITE, hp, zero
 
 
 X3_Y3 = PiecewiseSystem(hp(3, 1, 0, 0, 0), hp(3, 0, 0, 0, 1))
@@ -213,6 +214,33 @@ class TestThirtyDigitClock:
                             side, rng, fraction, value, reference)
 
 
+# per KNOWN_OBSTRUCTIONS entry, a radius where the next term of T(r0) is
+# below 1e-4 of the frozen one, so a coefficient off by one part in 10^3
+# dominates the remainder there
+OBSTRUCTION_RADII = {"x2y/y3": 1e-5, "x2y/y3:2": 1e-4, "x2y2/y4": 2e-3, "x2y2/-y4:3": 5e-3,
+                     "x4/x2y": 1e-5, "x4/xy2": 1e-3, "x4/x4y": 1e-4, "x3/x3": 2e-5}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_OBSTRUCTIONS))
+def test_thirty_digit_clock_confirms_frozen_obstruction(name):
+    # R = T - 2 pi - c r0^e shrinks by 2^-(e+1) or faster when r0 halves
+    # only if c r0^e is the leading term; a wrong c leaves R ~ r0^e
+    e, q, qpi = KNOWN_OBSTRUCTIONS[name]
+    system = CENTER_SUITE[name][0]
+    assert OBSTRUCTION_RADII[name] < 0.1 * min_start_cap(system)
+    with mpmath.workdps(30):
+        c = mpmath.mpf(q.numerator) / q.denominator + qpi.numerator * mpmath.pi / qpi.denominator
+
+        def remainder(r0):
+            period = (_mp_level_time(system.upper, r0, 0, mpmath.pi)
+                      + _mp_level_time(system.lower, r0, mpmath.pi, 2 * mpmath.pi))
+            return period - 2 * mpmath.pi - c * r0 ** e
+
+        rho = mpmath.mpf(OBSTRUCTION_RADII[name])
+        outer, inner = remainder(rho), remainder(rho / 2)
+        assert abs(inner) <= 0.75 * 2.0 ** -e * abs(outer), (name, inner, outer)
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(3, 7),
        g=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6)),
@@ -251,8 +279,10 @@ class TestSmoothPeriod:
         assert smooth_period(sys, "upper", 0.7) == 2 * math.pi
 
     def test_vanishing_angular_speed_raises(self):
-        # 1 + 2 g = 1e-13 at theta = 0, a trapezoid node: the quadratic side
-        # barely turns there, so the rotation time has no finite value to trust
+        # 1 + 2 g = 1e-13 at theta = 0: the quadratic side barely turns there,
+        # so the rotation time has no finite value to trust.  Gauss-Legendre
+        # nodes crowd toward theta = 0 as the count doubles, and one lands
+        # where the speed is below the stall threshold before two estimates agree
         sys = PiecewiseSystem(hp(2, F(-1, 2) + F(1, 2 * 10**13), 0, 0), zero(2))
         with pytest.raises(RootBracketFailure, match="angular speed vanished"):
             smooth_period(sys, "upper", 0.3)

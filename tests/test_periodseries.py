@@ -21,7 +21,7 @@ from pwperiod import (
     half_period_radius_series,
 )
 from pwperiod.periodseries import jmax_for_order
-from pwperiod.trigmoments import PI, TWO_PI
+from pwperiod.trigmoments import PI, TRIG_ZERO, TWO_PI
 
 from conftest import CENTER_SUITE, KNOWN_OBSTRUCTIONS, hp, zero
 
@@ -75,6 +75,16 @@ def test_half_energy_series_zero_side_is_exact():
     assert s.constant == PI
     assert s.exponents == ()
     assert s.truncation_order is None
+
+
+def test_series_refuses_a_name_that_is_no_side():
+    # "full" is a range tag but no side; a zero side, which needs no moment, is refused too
+    for p in (hp(3, 0, 1, 0, 0), zero(3)):
+        for name in ("full", "left"):
+            with pytest.raises(ValueError):
+                half_period_energy_series(p, name)
+            with pytest.raises(ValueError):
+                half_period_radius_series(p, name)
 
 
 def test_quadratic_side_is_refused():
@@ -165,6 +175,26 @@ def test_combined_series_truncates_at_coarser_grid():
     sys = CENTER_SUITE["x2y/y4"][0]
     series = combined_period_series(sys, jmax=5)
     assert series.truncation_order == 5
+
+
+def test_combined_series_equals_both_sides_at_full_jmax():
+    # each side is expanded only to ceil(order / step); cutting both sides
+    # built to the full jmax at the combined order must give the same series
+    unequal = {name: sys for name, (sys, _) in CENTER_SUITE.items()
+               if not any(p.is_zero() or p.degree == 2 for p in (sys.upper, sys.lower))
+               and sys.upper.degree != sys.lower.degree}
+    assert len(unequal) == 7
+    for name, sys in unequal.items():
+        for jmax in range(1, 13):
+            order = jmax * (min(sys.upper.degree, sys.lower.degree) - 2)
+            upper = half_period_radius_series(sys.upper, "upper", jmax)
+            lower = half_period_radius_series(sys.lower, "lower", jmax)
+            terms = {}
+            for e, c in [*upper.items(), *lower.items()]:
+                if e <= order:
+                    terms[e] = terms.get(e, TRIG_ZERO) + c
+            expected = PeriodSeries(upper.constant + lower.constant, terms, RADIUS, order)
+            assert combined_period_series(sys, jmax=jmax) == expected, (name, jmax)
 
 
 def test_combined_series_rejects_noncenter():
