@@ -50,7 +50,6 @@ from .periodseries import (
     RADIUS,
     PeriodSeries,
     combined_period_series,
-    energy_from_radius_series,
     first_obstruction,
     full_period_energy_series,
     half_period_energy_series,

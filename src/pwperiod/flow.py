@@ -39,6 +39,7 @@ from .systems import (
     _angle_range,
     annulus_bound,
     classify,
+    profile_min,
 )
 from .trigmoments import HomogeneousPoly
 
@@ -361,7 +362,14 @@ def quadrature_period(sys: PiecewiseSystem, side: str, r0: float) -> float:
 
 
 def smooth_period(sys: PiecewiseSystem, side: str, r0: float) -> float:
-    """Whole-circle period of one side treated as a smooth system."""
+    """Whole-circle period of one side treated as a smooth system.
+
+    The integrand has period 2 pi, so the rule runs over [theta*, theta* +
+    2 pi] with theta* the angle where the profile is least.  The integrand
+    peaks there, and that peak falls on the end nodes, where Gauss-Legendre
+    crowds them, instead of between sparse mid-range nodes.
+    """
     _check_start(sys, side, r0, "full")
-    lo, hi = _angle_range(side, "full")
-    return _level_time_integral(sys.side(side), r0, lo, hi)
+    p = sys.side(side)
+    start = profile_min(p, *_angle_range(side, "full"))[1]
+    return _level_time_integral(p, r0, start, start + 2.0 * math.pi)

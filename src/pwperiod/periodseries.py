@@ -9,13 +9,15 @@ with g the circle profile of p integrated over the side's angular range.
 The coefficients period_j(n) have a closed form, see
 :mod:`pwperiod.reversion`.  Substituting the axis relation
 h = r0 (1 + 2 a0 r0^(n-1))^(1/2) produces the series in the crossing radius
-r0.  The substitution here is a truncated power-series composition over
-exact coefficients; the tests compare it with the weighted moment sums
-built from the weight polynomials of :class:`~pwperiod.reversion.CoefficientTable`.
+r0: each power h^e is r0^e times a generalized binomial series in
+2 a0 r0^(n-1), whose exact coefficients C(e/2, k) (2 a0)^k are written
+down term by term.  The tests compare the result with the weighted moment
+sums of :class:`~pwperiod.reversion.CoefficientTable` and, at 60 digits,
+with the energy series evaluated at h(r0).
 
-Coefficients are :class:`~pwperiod.trigmoments.TrigValue`; composing never
-multiplies two pi-carrying values because the substitution series is purely
-rational.
+Coefficients are :class:`~pwperiod.trigmoments.TrigValue`; the substitution
+never multiplies two pi-carrying values because the binomial weights are
+purely rational.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ from .trigmoments import (
     TRIG_ZERO,
     TWO_PI,
     HomogeneousPoly,
-    Rational,
     TrigValue,
-    as_fraction,
     profile_power_integral,
 )
 
@@ -44,7 +44,6 @@ RADIUS = "radius_r0"
 __all__ = [
     "PeriodSeries",
     "half_period_energy_series",
-    "energy_from_radius_series",
     "half_period_radius_series",
     "half_period_series_r0",
     "full_period_energy_series",
@@ -151,71 +150,33 @@ def full_period_energy_series(p: HomogeneousPoly, jmax: int = 8) -> PeriodSeries
     return _energy_series(p, FULL, jmax)
 
 
-def energy_from_radius_series(a0: Rational, n: int, order: int) -> dict[int, Fraction]:
-    """Bracket coefficients of h = r0 * sqrt(1 + 2 a0 r0^(n-1)), through r0^order.
-
-    Returns {exponent: coefficient} for the square-root bracket, exponents on
-    the (n-1)-grid starting at 0.  First bracket coefficients are
-    1, a0, -a0^2/2, a0^3/2, -5 a0^4/8.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    a0 = as_fraction(a0)
-    out: dict[int, Fraction] = {}
-    coeff = Fraction(1)  # C(1/2, k) * 2^k * a0^k, built incrementally
-    k = 0
-    while k * (n - 1) <= order:
-        if coeff != 0:
-            out[k * (n - 1)] = coeff
-        coeff *= Fraction(1 - 2 * k, 2 * (k + 1)) * 2 * a0
-        k += 1
-    return out
-
-
-def _sparse_mul(a: dict[int, Fraction], b: dict[int, Fraction],
-                limit: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e <= limit:
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _sparse_pow(base: dict[int, Fraction], exponent: int,
-                limit: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {0: Fraction(1)}
-    acc = dict(base)
-    e = exponent
-    while e:
-        if e & 1:
-            out = _sparse_mul(out, acc, limit)
-        e >>= 1
-        if e:
-            acc = _sparse_mul(acc, acc, limit)
-    return out
-
-
 def half_period_radius_series(p: HomogeneousPoly, side: str, jmax: int = 8) -> PeriodSeries:
     """Half period of one side as a series in the axis crossing radius r0.
 
-    Composes the energy series with the bracket expansion of h(r0) by
-    truncated power-series multiplication; all arithmetic is exact.
+    With n + 1 the side degree, each energy term tau h^e of the series in h
+    becomes, through h = r0 (1 + 2 a0 r0^(n-1))^(1/2), the binomial series
+
+        tau h^e = sum_k  tau * C(e/2, k) (2 a0)^k * r0^(e + k(n-1)),
+
+    kept through r0^(jmax(n-1)).  Each weight C(e/2, k) (2 a0)^k follows
+    from the one before by a rational factor, and the sum over k stops once
+    it is zero: for a0 = 0, or at k = e/2 + 1 for an even e.  All
+    arithmetic is exact.
     """
     energy = half_period_energy_series(p, side, jmax)
     if p.is_zero():
         return PeriodSeries(PI, {}, RADIUS, None)
-    n = p.degree - 1
-    order = jmax * (n - 1)
-    bracket = energy_from_radius_series(p.axis_value, n, order)
+    step = p.degree - 2
+    order = jmax * step
+    two_a0 = 2 * p.axis_value
     terms: dict[int, TrigValue] = {}
-    for e_h, tau in energy.items():
-        # h^e_h = r0^e_h * bracket^e_h, expanded through the global order
-        power = _sparse_pow(bracket, e_h, order - e_h)
-        for e_r, q in power.items():
-            e = e_h + e_r
-            terms[e] = terms.get(e, TRIG_ZERO) + tau * q
+    for e, tau in energy.items():
+        weight, k = Fraction(1), 0  # weight = C(e/2, k) * (2 a0)^k
+        while weight and e + k * step <= order:
+            exponent = e + k * step
+            terms[exponent] = terms.get(exponent, TRIG_ZERO) + tau * weight
+            weight *= Fraction(e - 2 * k, 2 * (k + 1)) * two_a0
+            k += 1
     return PeriodSeries(PI, terms, RADIUS, order)
 
 

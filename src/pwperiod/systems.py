@@ -243,25 +243,22 @@ def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> f
 
     The level curve through (r0, 0) reaches every angle of the range only
     while its energy stays below the critical level at the range's worst
-    angle, where the angular speed first vanishes.  With q = max(-g) over
-    the range and d the side degree, the critical passage radius is
-    rc = (d q)^(-1/(d-2)), the critical squared energy rc^2 (d-2)/d, and the
-    cap is the start radius whose energy matches it.  Unlimited (inf) when
-    g is nonnegative on the range.  ``rng`` is "transit" for the side's own
-    half circle or "full" for the whole circle (smooth sub-system orbits).
+    angle, where the angular speed first vanishes.  The critical passage
+    radius rc is the annulus bound of ``annulus_bound``, the critical
+    squared energy is rc^2 (d-2)/d for the side degree d, and the cap is the
+    start radius whose energy matches it.  Unlimited (inf) when the annulus
+    is.  ``rng`` is "transit" for the side's own half circle or "full" for
+    the whole circle (smooth sub-system orbits).
     """
     p = sys.side(side)
-    lo, hi = _angle_range(side, rng)
-    if p.is_zero():
-        return math.inf
     d = p.degree
-    q = -profile_min(p, lo, hi)[0]
-    if q <= 1e-13 * _coeff_scale(p):
-        return math.inf
     if d == 2:
         # angular speed 1 + 2 g is radius independent
-        return math.inf if 2.0 * q < 1.0 else 0.0
-    rc = (d * q) ** (-1.0 / (d - 2))
+        gmin = profile_min(p, *_angle_range(side, rng))[0]
+        return math.inf if 2.0 * -gmin < 1.0 else 0.0
+    rc = annulus_bound(sys, side, rng).r_star
+    if math.isinf(rc):
+        return math.inf
     h2_cap = rc * rc * (d - 2) / d
     a0 = float(p.axis_value)
 

@@ -321,36 +321,24 @@ def trig_moment(a: int, b: int, rng: str = FULL) -> TrigValue:
     """Exact integral of cos^a(t) sin^b(t) over the requested range.
 
     Ranges: ``full`` is [0, 2pi], ``upper`` is [0, pi], ``lower`` is
-    [pi, 2pi].  Full-range moments vanish unless both exponents are even,
-    in which case the classical double-factorial formula applies.  Upper
-    moments with odd sine exponent reduce through the standard recurrence
-    on b down to the elementary b = 1 integral; with even sine exponent the
-    upper range carries exactly half the full moment (zero when a is odd).
+    [pi, 2pi].  With R = (a-1)!! (b-1)!! / (a+b)!!, the full moment is
+    2 pi R and the upper one is pi R for even b, or 2 R for odd b.  Odd a
+    gives zero on every range, and odd b gives zero on the full range.
     Lower moments are full - upper, which keeps the three ranges exactly
     consistent.
     """
     if a < 0 or b < 0:
         raise ValueError("exponents must be nonnegative")
     _check_range(rng)
-    if rng == FULL:
-        if a % 2 or b % 2:
-            return TRIG_ZERO
-        num = _double_factorial(a - 1) * _double_factorial(b - 1)
-        return TrigValue(0, Fraction(2 * num, _double_factorial(a + b)))
+    if a % 2 or (rng == FULL and b % 2):
+        return TRIG_ZERO
     if rng == LOWER:
         return trig_moment(a, b, FULL) - trig_moment(a, b, UPPER)
-    # upper range
-    if b % 2 == 0:
-        if a % 2:
-            return TRIG_ZERO
-        return trig_moment(a, b, FULL) / 2
-    # odd b: peel two sine powers at a time, then integrate cos^a sin.
-    value = Fraction(2, a + 1) if a % 2 == 0 else Fraction(0)
-    k = 3
-    while k <= b:
-        value *= Fraction(k - 1, a + k)
-        k += 2
-    return TrigValue(value, 0)
+    ratio = Fraction(_double_factorial(a - 1) * _double_factorial(b - 1),
+                     _double_factorial(a + b))
+    if b % 2:
+        return TrigValue(2 * ratio, 0)
+    return TrigValue(0, ratio if rng == UPPER else 2 * ratio)
 
 
 def profile_power_integral(p: HomogeneousPoly, j: int, rng: str = FULL) -> TrigValue:

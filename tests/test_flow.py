@@ -241,6 +241,20 @@ def test_thirty_digit_clock_confirms_frozen_obstruction(name):
         assert abs(inner) <= 0.75 * 2.0 ** -e * abs(outer), (name, inner, outer)
 
 
+
+@pytest.mark.parametrize("p", [hp(3, 0, 0, 0, 1), hp(3, 1, 0, 0, 0), hp(3, 1, -1, 0, 0),
+                               hp(3, 0, 0, 0, F(1, 2)), hp(5, 1, 0, 0, 0, 0, 0)],
+                         ids=["y3", "x3", "x3-x2y", "y3/2", "x5"])
+def test_smooth_period_near_the_cap_of_a_single_minimum(p):
+    # the whole-circle rule starts at the profile minimum, so the spike that
+    # grows there as r0 nears the cap sits on the clustered end nodes
+    system = PiecewiseSystem(p, zero(3))
+    r0 = 0.99999 * start_radius_cap(system, "upper", "full")
+    with mpmath.workdps(30):
+        reference = _mp_level_time(p, r0, 0, 2 * mpmath.pi)
+    value = smooth_period(system, "upper", r0)
+    assert abs(value - reference) <= 1e-12 * abs(reference), (value, reference)
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(3, 7),
        g=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6)),

@@ -58,3 +58,36 @@ def test_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_`` functions and classes no module reads, as ``module.name``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(_read_names, trees.values()))
+    return sorted(f"{name}.{node.name}" for name, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and node.name not in read)
+
+
+def test_scan_sees_a_dead_helper():
+    sources = {"a": "def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n",
+               "b": "from .a import _used\n"}
+    assert dead_private_helpers(sources) == ["a._Gone", "a._dead"]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_private_helpers(sources) == []

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from pwperiod import (
@@ -14,7 +15,6 @@ from pwperiod import (
     TrigValue,
     build_coefficient_table,
     combined_period_series,
-    energy_from_radius_series,
     first_obstruction,
     full_period_energy_series,
     half_period_energy_series,
@@ -102,16 +102,6 @@ def test_full_energy_series_x3():
     assert s.coefficient(2) == TrigValue(0, F(15, 2))
 
 
-def test_bracket_coefficients():
-    got = energy_from_radius_series(1, 2, 4)
-    assert got == {0: F(1), 1: F(1), 2: F(-1, 2), 3: F(1, 2), 4: F(-5, 8)}
-    # scale law: a0 enters as a0^k at step k
-    got3 = energy_from_radius_series(F(1, 3), 3, 8)
-    assert got3 == {0: F(1), 2: F(1, 3), 4: F(-1, 18), 6: F(1, 54), 8: F(-5, 648)}
-    with pytest.raises(ValueError):
-        energy_from_radius_series(1, 1, 4)
-
-
 def test_radius_series_reduces_to_energy_series_when_a0_zero():
     p = hp(3, 0, 1, 0, 0)
     in_h = half_period_energy_series(p, "upper", jmax=6)
@@ -121,7 +111,7 @@ def test_radius_series_reduces_to_energy_series_when_a0_zero():
 
 
 def test_radius_series_weight_route_duality():
-    """Composition route must equal the closed-form weight rows.
+    """The binomial substitution must equal the CoefficientTable weight rows.
 
     mu_k = sum_i weight(k, i)(n) * a0^(k-i) * c_i, on the (n-1) grid.
     Checked on sides with a0 != 0 so the substitution actually mixes terms.
@@ -147,6 +137,48 @@ def test_radius_series_weight_route_duality():
                 TrigValue(0),
             )
             assert series.coefficient(k * (n - 1)) == expected, (p, k)
+
+
+def _mp_value(series, x):
+    """The truncated series at x, each coefficient q0 + q1 pi taken at mpmath precision."""
+    def mp(c):
+        return (mpmath.mpf(c.rat_part.numerator) / c.rat_part.denominator
+                + mpmath.pi * c.pi_part.numerator / c.pi_part.denominator)
+    return mp(series.constant) + mpmath.fsum(mp(c) * x ** e for e, c in series.items())
+
+
+def test_radius_series_is_the_energy_series_at_h_of_r0():
+    """The r0 series is the h series at h(r0) = r0 sqrt(1 + 2 a0 r0^(n-1)).
+
+    Both truncated after J grid steps, D(r0) = S_h(h(r0)) - S_r(r0) starts
+    at r0^((J+1) step), so it shrinks by 2^-((J+1) step) when r0 halves; a
+    wrong coefficient through r0^(J step) leaves a lower power that shrinks
+    by 2^-(J step) or less.  h(r0) is computed directly, not from a series.
+    """
+    jmax = 6
+    cases = [
+        (hp(3, 1, 0, 0, 0), "upper"),                      # x^3
+        (hp(3, 1, -1, 0, 0), "upper"),                     # x^3 - x^2 y
+        (hp(3, 1, 0, 0, 1), "lower"),                      # x^3 + y^3
+        (hp(4, F(1, 2), 0, 1, 0, 0), "upper"),             # x^4/2 + x^2 y^2
+        (hp(4, -1, 0, 0, 1, 0), "lower"),                  # -x^4 + x y^3
+        (hp(5, F(-2, 3), 1, 0, 0, 0, 1), "upper"),         # -2x^5/3 + x^4 y + y^5
+        (hp(6, F(3, 2), 0, 0, -1, 0, 0, F(1, 4)), "lower"),  # 3x^6/2 - x^3 y^3 + y^6/4
+    ]
+    with mpmath.workdps(60):
+        for p, side in cases:
+            step = p.degree - 2
+            in_h = half_period_energy_series(p, side, jmax)
+            in_r = half_period_radius_series(p, side, jmax)
+            two_a0 = 2 * mpmath.mpf(p.axis_value.numerator) / p.axis_value.denominator
+
+            def gap(r0):
+                h = r0 * mpmath.sqrt(1 + two_a0 * r0 ** step)
+                return _mp_value(in_h, h) - _mp_value(in_r, r0)
+
+            rho = mpmath.mpf(10) ** (mpmath.mpf(-4) / step)
+            outer, inner = gap(rho), gap(rho / 2)
+            assert abs(inner) <= 0.75 * 2.0 ** (-jmax * step) * abs(outer), (p, inner, outer)
 
 
 def test_radius_series_scaling_law():

@@ -138,8 +138,8 @@ def test_trig_moment_range_consistency():
 
 
 def test_trig_moment_against_quadrature():
-    for a in range(0, 9, 2):
-        for b in range(0, 9):
+    for a in range(0, 17, 2):
+        for b in range(0, 18):
             exact = float(trig_moment(a, b, UPPER))
             num, _ = quad(lambda t: math.cos(t) ** a * math.sin(t) ** b, 0, math.pi)
             assert abs(exact - num) < 1e-12
