@@ -6,6 +6,13 @@ quadrature of dtheta / (angular speed) along the exact level curve.  The
 pair must agree to tight tolerance; tests rely on both routes staying
 separate, so neither should ever call the other.
 
+The integration is scipy's ``solve_ivp`` driving a subclass of its DOP853
+that takes each step on Python floats: the 12 stages, the 8th-order update
+and the two error sums are one straight-line function written out from the
+solver's own tableau, and the stages call the side's field on floats.
+scipy keeps the initial step, the event checks, the root search on the
+step's interpolant and the interpolant itself.
+
 The quadrature works on arrays of angles with one rule, Gauss-Legendre,
 on a half circle and on the whole circle alike; the nodes are cached per
 count.  The node count doubles until two successive estimates agree, and
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import (
     EscapedAnnulus,
@@ -76,8 +83,8 @@ def _check_start(sys: PiecewiseSystem, side: str, r0: float, rng: str) -> None:
     A crossing orbit's piece passes only the side's own half circle
     ("transit"); a smooth sub-system orbit passes the whole circle ("full").
     """
-    if r0 <= 0.0:
-        raise ValueError("start radius must be positive")
+    if not 0.0 < r0 < math.inf:
+        raise ValueError("start radius must be positive and finite")
     p = sys.side(side)
     if p.is_zero() or p.degree == 2:
         return
@@ -88,18 +95,144 @@ def _check_start(sys: PiecewiseSystem, side: str, r0: float, rng: str) -> None:
         )
 
 
-def _make_rhs(p: HomogeneousPoly, reverse: bool) -> Callable:
-    """Field (-dH/dy, dH/dx) of the side with nonlinearity p, negated if reverse."""
+def _make_field(p: HomogeneousPoly, reverse: bool) -> Callable:
+    """Field (-dH/dy, dH/dx) of the side with nonlinearity p, negated if reverse.
+
+    ``field(t, x, y) -> (dx, dy)`` on Python floats: scalar arithmetic on
+    numpy scalars costs several times more.
+    """
     _, form_x, form_y = p.forms()
     sign = -1.0 if reverse else 1.0
 
-    def rhs(t, s):
-        # Python floats: scalar arithmetic on numpy scalars costs several times more
-        x = float(s[0])
-        y = float(s[1])
+    def field(t, x, y):
         return (sign * (-y - form_y(x, y)), sign * (x + form_x(x, y)))
 
-    return rhs
+    return field
+
+
+def _compile_step(solver: type) -> Callable:
+    """One explicit Runge-Kutta step of ``solver``'s tableau, on Python floats.
+
+    Written out as ``step(field, t, x, y, kx0, ky0, h)``: stage s is
+    ``field(t + C[s] h, x + (sum_j A[s, j] kx_j) h, ...)``, the update is
+    ``x + h sum_j B[j] kx_j``, and the last stage is the field at the new
+    point, as in scipy's ``rk_step``.  It returns the new point, the last
+    stage, the sums of E5 and E3 over all stages (per coordinate) and the
+    stages flattened as (kx0, ky0, kx1, ...).  Zero coefficients are left
+    out.  The coefficients enter the namespace of ``exec`` as values; the
+    source holds generated names only.
+    """
+    a, b, c, e5, e3 = (np.asarray(getattr(solver, name)).tolist()
+                       for name in ("A", "B", "C", "E5", "E3"))
+    n = solver.n_stages
+    namespace = {}
+
+    def weighted(name, weights, k):
+        terms = []
+        for j, w in enumerate(weights):
+            if w:
+                namespace[f"{name}_{j}"] = w
+                terms.append(f"{name}_{j} * {k}{j}")
+        return " + ".join(terms)
+
+    lines = ["def step(field, t, x, y, kx0, ky0, h):"]
+    for s in range(1, n):
+        namespace[f"c{s}"] = c[s]
+        lines.append(f"    kx{s}, ky{s} = field(t + c{s} * h, "
+                     f"x + ({weighted(f'a{s}', a[s][:s], 'kx')}) * h, "
+                     f"y + ({weighted(f'a{s}', a[s][:s], 'ky')}) * h)")
+    lines.append(f"    xn = x + h * ({weighted('b', b, 'kx')})")
+    lines.append(f"    yn = y + h * ({weighted('b', b, 'ky')})")
+    lines.append(f"    kx{n}, ky{n} = field(t + h, xn, yn)")
+    stages = ", ".join(f"kx{j}, ky{j}" for j in range(n + 1))
+    sums = ", ".join(weighted(name, e, k) for name, e in (("e5", e5), ("e3", e3))
+                     for k in ("kx", "ky"))
+    lines.append(f"    return xn, yn, kx{n}, ky{n}, {sums}, ({stages})")
+    exec(compile("\n".join(lines), "<dop853 step>", "exec"), namespace)
+    return namespace["step"]
+
+
+class _FloatDOP853(DOP853):
+    """scipy's DOP853 with ``_step_impl`` taken on Python floats.
+
+    ``solve_ivp`` passes ``field``, the float right-hand side
+    ``(t, x, y) -> (dx, dy)`` the stages call, as a solver option; the array
+    ``fun`` serves the evaluations scipy makes itself (the first derivative,
+    the initial step, the extra stages of the interpolant).  The step-size
+    rule is scipy's on floats: safety 0.9, factors 0.2 and 10, exponent
+    -1/8, and a zero error norm grows the step by the full factor.  ``nfev``
+    counts 12 evaluations per attempted step.  The stages reach ``K``, and
+    the last of them ``f``, only when the interpolant is asked for.
+    """
+
+    SAFETY = 0.9
+    MIN_FACTOR = 0.2
+    MAX_FACTOR = 10.0
+
+    def __init__(self, fun, t0, y0, t_bound, field, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._field = field
+        self._tolerances = (float(self.rtol), float(self.atol))
+        self.h_abs = float(self.h_abs)
+        self._state = (*self.y.tolist(), *self.f.tolist())
+        self._stages = ()
+
+    def _step_impl(self):
+        t, t_bound = self.t, self.t_bound
+        x, y, fx, fy = self._state
+        rtol, atol = self._tolerances
+        direction = float(self.direction)
+        step, field, exponent = self._step, self._field, self.error_exponent
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = self.max_step if self.h_abs > self.max_step else max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            # also fails a NaN step, which scipy's initial step gives when the
+            # field overflows next to the start; its own rule would loop on it
+            if not h_abs >= min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            xn, yn, fxn, fyn, e5x, e5y, e3x, e3y, stages = step(field, t, x, y, fx, fy, h)
+            self.nfev += 12
+            # max(new, old) keeps a NaN of the new point, as np.maximum does
+            sx = atol + max(abs(xn), abs(x)) * rtol
+            sy = atol + max(abs(yn), abs(y)) * rtol
+            e5x, e5y, e3x, e3y = e5x / sx, e5y / sy, e3x / sx, e3y / sy
+            norm5 = e5x * e5x + e5y * e5y
+            denom = norm5 + 0.01 * (e3x * e3x + e3y * e3y)
+            # denom is 0 when both sums are, where scipy's norm is 0 too; the
+            # test also keeps a 0 / 0 from raising when the E3 term underflows
+            error = h_abs * norm5 / math.sqrt(denom * 2) if denom else 0.0
+            if error < 1:
+                factor = (self.MAX_FACTOR if error == 0
+                          else min(self.MAX_FACTOR, self.SAFETY * error ** exponent))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error ** exponent)
+            rejected = True
+
+        self.h_previous = h
+        self.y_old = self.y
+        self.t = t_new
+        self.y = np.array((xn, yn))
+        self.h_abs = h_abs
+        self._state = (xn, yn, fxn, fyn)
+        self._stages = stages
+        return True, None
+
+    def _dense_output_impl(self):
+        self.K[:] = np.reshape(self._stages, self.K.shape)
+        self.f = self.K[-1]
+        return super()._dense_output_impl()
+
+
+_FloatDOP853._step = staticmethod(_compile_step(_FloatDOP853))
 
 
 def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResult:
@@ -114,7 +247,11 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
     _check_start(sys, side, r_start, "transit")
     p = sys.side(side)
     reverse = side == LOWER_SIDE
-    rhs = _make_rhs(p, reverse)
+    field = _make_field(p, reverse)
+
+    def rhs(t, s):
+        return field(t, *s.tolist())
+
     direction = -1.0 if side == UPPER_SIDE else 1.0
 
     def crossing(t, s):
@@ -126,14 +263,18 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
     escape_radius = 25.0 * (r_start + 1.0)
 
     def escape(t, s):
-        return s[0] * s[0] + s[1] * s[1] - escape_radius ** 2
+        return s[0] * s[0] + s[1] * s[1] - escape_radius * escape_radius
 
     escape.terminal = True
     escape.direction = 1.0
 
-    sol = solve_ivp(rhs, (0.0, MAX_TIME), (r_start, 0.0), method="DOP853",
-                    rtol=RTOL, atol=ATOL, events=(crossing, escape),
-                    dense_output=False)
+    try:
+        sol = solve_ivp(rhs, (0.0, MAX_TIME), (r_start, 0.0), method=_FloatDOP853,
+                        rtol=RTOL, atol=ATOL, events=(crossing, escape),
+                        dense_output=False, field=field)
+    except ValueError as exc:
+        # brentq refuses an event value that is NaN on the step's interpolant
+        raise StepFailure(f"event location failed on the {side} side: {exc}") from exc
     if sol.status == -1:
         raise StepFailure(f"integrator failed on the {side} side: {sol.message}")
     if len(sol.t_events[1]):
@@ -148,13 +289,15 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
     for _ in range(3):
         if y == 0.0:
             break
-        dx, dy = rhs(t_cross, (x, y))
+        dx, dy = field(t_cross, x, y)
         if dy == 0.0:
             break
         dt = -y / dy
         x += dx * dt
         y += dy * dt
         t_cross += dt
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise StepFailure(f"the {side} transit reached a non-finite crossing point")
     if x >= 0.0:
         raise EscapedAnnulus(
             f"{side} transit ended on the starting ray; the orbit is not a crossing orbit"

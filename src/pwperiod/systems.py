@@ -180,8 +180,11 @@ def _angle_range(side: str, rng: str) -> tuple[float, float]:
 
 
 def _coeff_scale(p: HomogeneousPoly) -> float:
-    """Bound on |g|, at least 1; sets the zero and tie thresholds of g."""
-    return max(1.0, float(sum(abs(c) for c in p.coeffs)))
+    """Bound on |g|, at least 1; sets the zero and tie thresholds of g.
+
+    Computed once per polynomial.
+    """
+    return p.memo("coeff_scale", lambda: max(1.0, float(sum(abs(c) for c in p.coeffs))))
 
 
 def profile_min(p: HomogeneousPoly, lo: float, hi: float) -> tuple[float, float]:

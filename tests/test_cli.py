@@ -296,6 +296,17 @@ class TestCsvAndMain:
         assert main([str(spec)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_main_nan_during_event_location_is_a_numerical_failure(self, tmp_path, capsys):
+        # 10^300 coefficients at rmax 1e-100: brentq meets a NaN on the lower
+        # transit's interpolant, which used to escape as scipy's ValueError
+        big = "1" + "0" * 300
+        spec = tmp_path / "sys.txt"
+        spec.write_text(f"[upper]\ndegree = 4\ncoeffs = 0, 0, {big}, 0, 0\n"
+                        f"[lower]\ndegree = 4\ncoeffs = 0, 0, 0, 0, {big}\n")
+        assert main([str(spec), "--rmax", "1e-100", "--samples", "4"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("coeff", ["1e400", "1e308"])
     def test_main_coefficient_beyond_float_range(self, tmp_path, capsys, coeff):
         spec = tmp_path / "sys.txt"

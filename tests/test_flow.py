@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from pwperiod import (
@@ -14,6 +15,7 @@ from pwperiod import (
     PiecewiseSystem,
     QuadratureFailure,
     RootBracketFailure,
+    StepFailure,
     correspondence_gap,
     combined_period_series,
     half_orbit,
@@ -23,7 +25,8 @@ from pwperiod import (
     smooth_period,
     start_radius_cap,
 )
-from pwperiod.flow import _level_radii
+from pwperiod import flow
+from pwperiod.flow import _FloatDOP853, _level_radii
 from pwperiod.systems import profile_min
 
 from conftest import CENTER_SUITE, KNOWN_OBSTRUCTIONS, NONCENTER_SUITE, hp, zero
@@ -76,6 +79,37 @@ class TestHalfOrbit:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             half_orbit(X3_Y3, "upper", 0.0)
+
+    def test_nan_on_the_interpolant_is_a_step_failure(self):
+        # x^2 y^2 / y^4 at 1e300: the stages overflow, the crossing's
+        # interpolant holds NaN and brentq refuses it with a ValueError
+        big = 10**300
+        system = PiecewiseSystem(hp(4, 0, 0, big, 0, 0), hp(4, 0, 0, 0, 0, big))
+        with np.errstate(all="ignore"), pytest.raises(StepFailure, match="event location"):
+            half_orbit(system, "lower", 1e-100)
+
+    def test_nonfinite_crossing_is_a_step_failure(self):
+        # x^2 y^2 / y^4 at 1e200: the interpolant's root is found, but the
+        # crossing point it gives is NaN; it used to come back as a NaN time
+        # and radius with degraded False
+        big = 10**200
+        system = PiecewiseSystem(hp(4, 0, 0, big, 0, 0), hp(4, 0, 0, 0, 0, big))
+        with np.errstate(all="ignore"), pytest.raises(StepFailure, match="non-finite"):
+            half_orbit(system, "upper", 1e-58)
+
+    def test_field_overflow_at_the_start_is_a_step_failure(self):
+        # at r0 = 1e200 the field overflows one step from the start, so
+        # scipy's initial step is NaN; the float step fails it instead of
+        # looping, and the escape radius squares to inf, not OverflowError
+        system = CENTER_SUITE["x2y2/y4"][0]
+        for side in ("upper", "lower"):
+            with np.errstate(all="ignore"), pytest.raises(StepFailure, match="integrator failed"):
+                half_orbit(system, side, 1e200)
+
+    def test_rejects_nonfinite_radius(self):
+        for r0 in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                half_orbit(X2Y_Y3, "upper", r0)
 
     def test_drift_within_bound_across_suite(self):
         for name, (sys, _) in CENTER_SUITE.items():
@@ -192,7 +226,10 @@ def _mp_level_time(p, r0, lo, hi):
 
 
 class TestThirtyDigitClock:
-    """Both float quadratures against mpmath at 30 digits, up to 0.95 of the cap."""
+    """The float clocks against mpmath at 30 digits, up to 0.95 of the cap.
+
+    Both quadratures, and the ODE clock over each transit.
+    """
 
     @pytest.mark.parametrize("name", ["x3/x3", "x2y/y3", "x3-x2y/x3+y3", "x4/x4y"])
     def test_quadratures_match_mpmath(self, name):
@@ -200,18 +237,101 @@ class TestThirtyDigitClock:
         with mpmath.workdps(30):
             for side in ("upper", "lower"):
                 p = system.side(side)
+                # the ODE clock shares the transit references of the quadrature
+                references = {}
                 half = (0, mpmath.pi) if side == "upper" else (mpmath.pi, 2 * mpmath.pi)
                 for rng, period, (lo, hi) in (("transit", quadrature_period, half),
-                                              ("full", smooth_period, (0, 2 * mpmath.pi))):
+                                              ("full", smooth_period, (0, 2 * mpmath.pi)),
+                                              ("transit", _ode_time, half)):
                     cap = start_radius_cap(system, side, rng)
                     if not math.isfinite(cap):
                         continue
                     for fraction in (0.3, 0.95):
                         r0 = fraction * cap
-                        reference = _mp_level_time(p, r0, lo, hi)
+                        if (rng, fraction) not in references:
+                            references[rng, fraction] = _mp_level_time(p, r0, lo, hi)
+                        reference = references[rng, fraction]
                         value = period(system, side, r0)
                         assert abs(value - reference) <= 1e-12 * abs(reference), (
                             side, rng, fraction, value, reference)
+
+
+def _ode_time(system, side, r0):
+    return half_orbit(system, side, r0).time
+
+
+def _stock_transit(system, side, r0):
+    """(time, r_end, steps, nfev) of a transit by scipy's own DOP853.
+
+    Same field, tolerances and events as ``half_orbit``, with the field
+    written out from the polynomial's gradient and no Newton polish.
+    """
+    p = system.side(side)
+    sign = -1.0 if side == "lower" else 1.0
+
+    def rhs(t, s):
+        gx, gy = p.gradient(float(s[0]), float(s[1]))
+        return sign * (-s[1] - gy), sign * (s[0] + gx)
+
+    def crossing(t, s):
+        return s[1]
+
+    crossing.terminal = True
+    crossing.direction = -1.0 if side == "upper" else 1.0
+    escape_radius = 25.0 * (r0 + 1.0)
+
+    def escape(t, s):
+        return s[0] * s[0] + s[1] * s[1] - escape_radius * escape_radius
+
+    escape.terminal = True
+    escape.direction = 1.0
+    sol = solve_ivp(rhs, (0.0, flow.MAX_TIME), (r0, 0.0), method="DOP853",
+                    rtol=flow.RTOL, atol=flow.ATOL, events=(crossing, escape))
+    assert sol.status == 1 and len(sol.t_events[0]) == 1
+    x, y = sol.y_events[0][0]
+    return float(sol.t_events[0][0]), math.hypot(x, y), len(sol.t) - 1, sol.nfev
+
+
+SUITE_SIDES = {f"{name}:{side}": (entry[0] if isinstance(entry, tuple) else entry, side)
+               for suite in (CENTER_SUITE, NONCENTER_SUITE)
+               for name, entry in suite.items()
+               for side in ("upper", "lower")}
+
+
+@pytest.mark.parametrize("system, side", SUITE_SIDES.values(), ids=SUITE_SIDES.keys())
+def test_float_step_matches_stock_dop853(system, side, monkeypatch):
+    # the float kernel takes scipy's steps: the same accepted steps, the same
+    # crossing to rounding, and evaluation counts apart by at most one
+    # rejected step (12 evaluations) where an acceptance test sits on 1
+    solutions = []
+
+    def recorded(*args, **kwargs):
+        solutions.append(solve_ivp(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(flow, "solve_ivp", recorded)
+    cap = start_radius_cap(system, side, "transit")
+    top = 0.8 * cap if math.isfinite(cap) else 0.5
+    for fraction in (0.05, 0.25, 0.5, 0.75, 1.0):
+        r0 = fraction * top
+        time, r_end, steps, nfev = _stock_transit(system, side, r0)
+        res = half_orbit(system, side, r0)
+        assert res.steps == steps, (r0, res.steps, steps)
+        assert abs(res.time - time) <= 1e-13 * time, (r0, res.time, time)
+        assert abs(res.r_end - r_end) <= 1e-13 * r_end, (r0, res.r_end, r_end)
+        assert abs(solutions[-1].nfev - nfev) <= 12, (r0, solutions[-1].nfev, nfev)
+
+
+def test_float_step_on_a_zero_error_grows_like_scipy():
+    # a zero field has error sums of exactly 0: the step grows by the full
+    # factor 10 each time, as in scipy, instead of raising 0.0 ** -0.125
+    ours = solve_ivp(lambda t, s: (0.0, 0.0), (0.0, 50.0), (1.0, 0.0), method=_FloatDOP853,
+                     field=lambda t, x, y: (0.0, 0.0), rtol=1e-12, atol=1e-14)
+    stock = solve_ivp(lambda t, s: (0.0, 0.0), (0.0, 50.0), (1.0, 0.0), method="DOP853",
+                      rtol=1e-12, atol=1e-14)
+    assert ours.status == stock.status == 0
+    assert ours.t.tolist() == stock.t.tolist() and ours.nfev == stock.nfev
+    assert ours.y[:, -1].tolist() == [1.0, 0.0]
 
 
 # per KNOWN_OBSTRUCTIONS entry, a radius where the next term of T(r0) is

@@ -16,7 +16,7 @@ from pwperiod import (
     numeric_period,
     start_radius_cap,
 )
-from pwperiod.flow import _make_rhs
+from pwperiod.flow import _make_field
 from pwperiod.systems import profile_min
 
 from conftest import CENTER_SUITE, NONCENTER_SUITE, hp, zero
@@ -92,19 +92,19 @@ class TestNormalize:
 def test_vector_field_values():
     # the field the ODE clock integrates on each side, (-dH/dy, dH/dx)
     sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))  # x^2 y / y^3
-    upper, lower = (_make_rhs(p, reverse=False) for p in (sys.upper, sys.lower))
+    upper, lower = (_make_field(p, reverse=False) for p in (sys.upper, sys.lower))
     # upper: xdot = -y - x^2, ydot = x + 2xy
-    xd, yd = upper(0.0, np.array([0.5, 0.2]))
+    xd, yd = upper(0.0, 0.5, 0.2)
     assert math.isclose(xd, -0.2 - 0.25, rel_tol=1e-15)
     assert math.isclose(yd, 0.5 + 2 * 0.5 * 0.2, rel_tol=1e-15)
     # lower: xdot = -y - 3y^2, ydot = x
-    xd, yd = lower(0.0, np.array([0.5, -0.2]))
+    xd, yd = lower(0.0, 0.5, -0.2)
     assert math.isclose(xd, 0.2 - 3 * 0.04, rel_tol=1e-14)
     assert math.isclose(yd, 0.5, rel_tol=1e-15)
     # the lower transit runs the reversed field
-    assert _make_rhs(sys.lower, reverse=True)(0.0, np.array([0.5, -0.2])) == (-xd, -yd)
+    assert _make_field(sys.lower, reverse=True)(0.0, 0.5, -0.2) == (-xd, -yd)
     # rotation is counterclockwise near the origin: at (r, 0+) ydot > 0
-    assert upper(0.0, np.array([0.01, 0.0]))[1] > 0
+    assert upper(0.0, 0.01, 0.0)[1] > 0
 
 
 class TestAnnulusBound:
