@@ -169,7 +169,9 @@ def cross_validate(sys: PiecewiseSystem, order: int, grid) -> float:
     series = combined_period_series(sys, jmax=jmax_for_order(sys, order)).truncate(order)
     worst = 0.0
     for r0 in grid:
-        worst = max(worst, abs(numeric_period(sys, float(r0)) - series(float(r0))))
+        dev = abs(numeric_period(sys, float(r0)) - series(float(r0)))
+        # a series value beyond float range (nan) fits worst, not best
+        worst = max(worst, dev if math.isfinite(dev) else math.inf)
     return worst
 
 

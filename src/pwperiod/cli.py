@@ -310,7 +310,9 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
         if series is not None:
             t_ser = series(r0)
             dev = abs(t_num - t_ser)
-            worst = dev if worst is None else max(worst, dev)
+            # a series value beyond float range fits worst of all; max() would
+            # keep or drop a nan depending on the order
+            worst = max(worst or 0.0, dev if math.isfinite(dev) else math.inf)
         else:
             t_ser = math.nan
             dev = math.nan

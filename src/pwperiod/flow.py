@@ -13,11 +13,13 @@ solver's own tableau, and the stages call the side's field on floats.
 scipy keeps the initial step, the event checks, the root search on the
 step's interpolant and the interpolant itself.
 
-The quadrature works on arrays of angles with one rule, Gauss-Legendre,
-on a half circle and on the whole circle alike; the nodes are cached per
-count.  The node count doubles until two successive estimates agree, and
-the level-curve radius at all nodes comes from one safeguarded Newton
-iteration.
+The quadrature works on arrays of angles with one rule, Clenshaw-Curtis,
+on a half circle and on the whole circle alike.  Its nodes are closed form
+and include both ends of the range, its weights come from one FFT and are
+cached per interval count, and its rules are nested: the interval count
+doubles until two successive estimates agree, and each doubling evaluates
+the integrand only on the new nodes.  The level-curve radius at all nodes
+comes from one safeguarded Newton iteration, ``systems._level_radii``.
 
 Functions are pure; evaluating many radii concurrently is safe.
 """
@@ -44,6 +46,7 @@ from .systems import (
     UPPER_SIDE,
     PiecewiseSystem,
     _angle_range,
+    _level_radii,
     annulus_bound,
     classify,
     profile_min,
@@ -269,11 +272,14 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
     escape.direction = 1.0
 
     try:
-        sol = solve_ivp(rhs, (0.0, MAX_TIME), (r_start, 0.0), method=_FloatDOP853,
-                        rtol=RTOL, atol=ATOL, events=(crossing, escape),
-                        dense_output=False, field=field)
+        # an overflowing field leaves inf or nan in the stages, and scipy's
+        # interpolant warns on them; the checks below turn them into errors
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(rhs, (0.0, MAX_TIME), (r_start, 0.0), method=_FloatDOP853,
+                            rtol=RTOL, atol=ATOL, events=(crossing, escape),
+                            dense_output=False, field=field)
     except ValueError as exc:
-        # brentq refuses an event value that is NaN on the step's interpolant
+        # scipy's event root search refuses a NaN on the step's interpolant
         raise StepFailure(f"event location failed on the {side} side: {exc}") from exc
     if sol.status == -1:
         raise StepFailure(f"integrator failed on the {side} side: {sol.message}")
@@ -340,117 +346,69 @@ def numeric_period(sys: PiecewiseSystem, r0: float) -> float:
     return up.time + lo.time
 
 
-# Node cap of the rule.  An integral that has not converged by then has a
-# spike too narrow to resolve (a start radius at the edge of the annulus).
+# Interval cap of the rule, whose last estimate uses MAX_NODES + 1 nodes.  An
+# integral that has not converged by then has a spike too narrow to resolve
+# (a start radius at the edge of the annulus).
 MAX_NODES = 8192
 # Successive estimates agree to these bounds once the rule has converged.
 QUAD_ATOL = 1e-13
 QUAD_RTOL = 1e-12
 
-_GAUSS_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_CLENSHAW_CURTIS_WEIGHTS: dict[int, np.ndarray] = {}
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+def _clenshaw_curtis_weights(n: int) -> np.ndarray:
+    """Weights of the Clenshaw-Curtis rule on [-1, 1] with n intervals, n even.
 
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even.
-
-    Newton on P_n from the Tricomi guesses cos(pi (k - 1/4) / (n + 1/2))
-    finds the positive nodes; the rule is symmetric.  Cached per n.
+    Entry k weighs the node cos(k pi / n), k = 0..n.  One inverse FFT gives
+    them (Waldvogel, BIT 46, 2006): its input is the vector whose transform
+    is Fejer's second rule, built from the integrals 2 / (1 - j^2) of the
+    even Chebyshev polynomials T_j, plus Waldvogel's correction g, which
+    turns that rule into Clenshaw-Curtis.  Cached per n.
     """
-    rule = _GAUSS_RULES.get(n)
-    if rule is None:
-        x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
-        for _ in range(100):
-            pn, dpn = _legendre(n, x)
-            step = pn / dpn
-            x = x - step
-            if np.abs(step).max() <= 1e-15:
-                break
-        dpn = _legendre(n, x)[1]
-        w = 2.0 / ((1.0 - x * x) * dpn * dpn)
-        rule = (np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1])))
-        _GAUSS_RULES[n] = rule
-    return rule
+    w = _CLENSHAW_CURTIS_WEIGHTS.get(n)
+    if w is None:
+        odd = np.arange(1.0, n, 2.0)
+        v = np.concatenate((2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(n // 2)))
+        g = np.full(n, -1.0)
+        g[n // 2] += 2.0 * n
+        w = np.fft.ifft(g / (n * n - 1.0) - v[:-1] - v[:0:-1]).real
+        w = _CLENSHAW_CURTIS_WEIGHTS[n] = np.append(w, w[0])
+    return w
 
 
-def _gauss_estimates(f: Callable, lo: float, hi: float, n: int):
-    """Gauss-Legendre sums of f over [lo, hi] on n, 2n, 4n, ... nodes."""
+def _clenshaw_curtis_estimates(f: Callable, lo: float, hi: float, n: int):
+    """Clenshaw-Curtis sums of f over [lo, hi] on n, 2n, 4n, ... intervals.
+
+    The nodes of n intervals are mid + half cos(k pi / n), k = 0..n, and
+    they are the even nodes of 2n intervals, to the bit: pi / 2n is half
+    of pi / n exactly.  So each doubling keeps the values it has and calls
+    f only on the n new odd nodes.
+    """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    while n <= MAX_NODES:
-        x, w = _gauss_legendre(n)
-        yield half * np.dot(w, f(mid + half * x))
+
+    def nodes(k: np.ndarray, n: int) -> np.ndarray:
+        return mid + half * np.cos(k * (math.pi / n))
+
+    values = f(nodes(np.arange(n + 1), n))
+    while True:
+        yield half * np.dot(_clenshaw_curtis_weights(n), values)
         n *= 2
-
-
-def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndarray:
-    """Radius of the level curve r^2 + 2 g r^d = h2 at every angle, d >= 3.
-
-    One safeguarded Newton iteration runs on all angles at once: a step
-    that leaves the sign-change bracket, or does not halve the previous
-    one, is replaced by bisection, and each lane stops once its step is
-    within brentq's tolerance, 1e-16 + 8.9e-16 r.
-    """
-    root = math.sqrt(h2)
-    negative = g < 0.0
-    fold = np.full_like(g, math.inf)
-    # the level function peaks at the fold radius and falls after it; the
-    # orbit radius is the root before the fold, if any.  At that root
-    # 1 - 2|g| r^(d-2) > (d-2)/d, so r^2 < 3 h2 always, which caps the
-    # bracket when the fold is far away (tiny |g|).
-    fold[negative] = (d * -g[negative]) ** (-1.0 / (d - 2))
-    # for g > 0 the root sits at or below sqrt(h2); the tiny inflation keeps
-    # the endpoint sign positive when 2 g h2^(d/2) is below the rounding
-    # error of sqrt(h2)**2 - h2
-    hi = np.where(g > 0.0, root * (1.0 + 1e-12), np.minimum(fold, math.sqrt(3.0 * h2)))
-    short = (g <= 0.0) & (hi * hi + 2.0 * g * hi ** d - h2 <= 0.0)
-    if short.any():
-        raise RootBracketFailure(
-            f"level curve does not reach angle {theta[short][0]:.6f}; start "
-            "radius is outside the period annulus"
-        )
-    lo = np.zeros_like(g)
-    # start from the reversion series r / sqrt(h2) = 1 - u + (2d - 1) u^2 / 2
-    # + O(u^3), u = g h2^((d-2)/2), kept inside the bracket
-    u = g * root ** (d - 2)
-    r = np.clip(root * (1.0 - u + (d - 0.5) * u * u), lo, hi)
-    last = hi
-    done = np.zeros(g.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            rp = r ** (d - 2)
-            value = r * r + 2.0 * g * rp * r * r - h2
-            lo = np.where(value < 0.0, r, lo)
-            hi = np.where(value > 0.0, r, hi)
-            newton = r - value / (2.0 * r * (1.0 + d * g * rp))
-            # bisect where Newton leaves the bracket or fails to halve the
-            # last step, as it does on the rounding noise next to the fold
-            step = np.where((newton >= lo) & (newton <= hi)
-                            & (np.abs(newton - r) <= 0.5 * np.abs(last)),
-                            newton, 0.5 * (lo + hi)) - r
-            r = np.where(done, r, r + step)
-            done |= np.abs(step) <= 1e-16 + 8.9e-16 * r
-            if done.all():
-                return r
-            last = step
-    raise RootBracketFailure(
-        f"level-curve radius did not converge at angle {theta[~done][0]:.6f}"
-    )
+        if n > MAX_NODES:
+            return
+        both = np.empty(n + 1)
+        both[0::2] = values
+        both[1::2] = f(nodes(np.arange(1, n, 2), n))
+        values = both
 
 
 def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) -> float:
     """Integral of dtheta / angular speed along the level curve through (r0, 0).
 
-    Gauss-Legendre on [lo, hi], a half circle or the whole circle.  The
-    node count doubles until two successive estimates agree to QUAD_ATOL or
-    QUAD_RTOL, and an integral still moving at MAX_NODES raises
-    QuadratureFailure.
+    Clenshaw-Curtis on [lo, hi], a half circle or the whole circle; both
+    ends are nodes.  The interval count doubles until two successive
+    estimates agree to QUAD_ATOL or QUAD_RTOL, and an integral still moving
+    at MAX_NODES intervals (MAX_NODES + 1 nodes) raises QuadratureFailure.
     """
     if p.is_zero():
         return hi - lo
@@ -486,12 +444,12 @@ def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) ->
     while n <= 2 * d:
         n *= 2
     previous = None
-    for value in _gauss_estimates(integrand, lo, hi, n):
+    for value in _clenshaw_curtis_estimates(integrand, lo, hi, n):
         if previous is not None and abs(value - previous) <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
             return float(value)
         previous = value
     raise QuadratureFailure(
-        f"level-curve quadrature did not converge on {MAX_NODES} nodes at start "
+        f"level-curve quadrature did not converge on {MAX_NODES + 1} nodes at start "
         f"radius {r0}; the integrand is too sharply peaked this close to the "
         "edge of the period annulus"
     )
@@ -509,8 +467,9 @@ def smooth_period(sys: PiecewiseSystem, side: str, r0: float) -> float:
 
     The integrand has period 2 pi, so the rule runs over [theta*, theta* +
     2 pi] with theta* the angle where the profile is least.  The integrand
-    peaks there, and that peak falls on the end nodes, where Gauss-Legendre
-    crowds them, instead of between sparse mid-range nodes.
+    peaks there, and the peak is itself a node, the end node of the rule,
+    where Clenshaw-Curtis crowds its nodes, instead of falling between
+    sparse mid-range nodes.
     """
     _check_start(sys, side, r0, "full")
     p = sys.side(side)

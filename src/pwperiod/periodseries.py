@@ -22,6 +22,7 @@ purely rational.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -88,9 +89,17 @@ class PeriodSeries:
         return tuple(sorted(self._terms))
 
     def __call__(self, value: float) -> float:
+        """The truncated sum at ``value``; nan once a term leaves float range.
+
+        A series evaluated that far out is outside its range, so the value
+        says only that, instead of raising OverflowError.
+        """
         total = float(self.constant)
         for e, c in self._terms.items():
-            total += float(c) * value ** e
+            try:
+                total += float(c) * value ** e
+            except OverflowError:
+                return math.nan
         return total
 
     def truncate(self, order: int) -> "PeriodSeries":

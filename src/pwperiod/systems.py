@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DegreeTooLow
+from .errors import DegreeTooLow, RootBracketFailure
 from .trigmoments import HomogeneousPoly
 
 SIGMA_CENTER = "SigmaCenter"
@@ -241,6 +240,63 @@ def annulus_bound(sys: PiecewiseSystem, side: str, rng: str = "full") -> Annulus
     return AnnulusEstimate(side, r_star, theta)
 
 
+def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndarray:
+    """Radius of the level curve r^2 + 2 g r^d = h2 at every angle, d >= 3.
+
+    ``g`` holds the profile at the angles ``theta``, which only name the
+    angle in an error.  One safeguarded Newton iteration runs on all angles
+    at once: a step that leaves the sign-change bracket, or does not halve
+    the previous one, is replaced by bisection, and each lane stops once
+    its step is within 1e-16 + 8.9e-16 r.  The quadrature clock calls it on
+    its nodes, ``start_radius_cap`` on the one angle 0.
+    """
+    root = math.sqrt(h2)
+    negative = g < 0.0
+    fold = np.full_like(g, math.inf)
+    # the level function peaks at the fold radius and falls after it; the
+    # orbit radius is the root before the fold, if any.  At that root
+    # 1 - 2|g| r^(d-2) > (d-2)/d, so r^2 < 3 h2 always, which caps the
+    # bracket when the fold is far away (tiny |g|).
+    fold[negative] = (d * -g[negative]) ** (-1.0 / (d - 2))
+    # for g > 0 the root sits at or below sqrt(h2); the tiny inflation keeps
+    # the endpoint sign positive when 2 g h2^(d/2) is below the rounding
+    # error of sqrt(h2)**2 - h2
+    hi = np.where(g > 0.0, root * (1.0 + 1e-12), np.minimum(fold, math.sqrt(3.0 * h2)))
+    short = (g <= 0.0) & (hi * hi + 2.0 * g * hi ** d - h2 <= 0.0)
+    if short.any():
+        raise RootBracketFailure(
+            f"level curve does not reach angle {theta[short][0]:.6f}; start "
+            "radius is outside the period annulus"
+        )
+    lo = np.zeros_like(g)
+    # start from the reversion series r / sqrt(h2) = 1 - u + (2d - 1) u^2 / 2
+    # + O(u^3), u = g h2^((d-2)/2), kept inside the bracket
+    u = g * root ** (d - 2)
+    r = np.clip(root * (1.0 - u + (d - 0.5) * u * u), lo, hi)
+    last = hi
+    done = np.zeros(g.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            rp = r ** (d - 2)
+            value = r * r + 2.0 * g * rp * r * r - h2
+            lo = np.where(value < 0.0, r, lo)
+            hi = np.where(value > 0.0, r, hi)
+            newton = r - value / (2.0 * r * (1.0 + d * g * rp))
+            # bisect where Newton leaves the bracket or fails to halve the
+            # last step, as it does on the rounding noise next to the fold
+            step = np.where((newton >= lo) & (newton <= hi)
+                            & (np.abs(newton - r) <= 0.5 * np.abs(last)),
+                            newton, 0.5 * (lo + hi)) - r
+            r = np.where(done, r, r + step)
+            done |= np.abs(step) <= 1e-16 + 8.9e-16 * r
+            if done.all():
+                return r
+            last = step
+    raise RootBracketFailure(
+        f"level-curve radius did not converge at angle {theta[~done][0]:.6f}"
+    )
+
+
 def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> float:
     """Largest axis start radius whose orbit piece stays inside the annulus.
 
@@ -248,10 +304,12 @@ def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> f
     while its energy stays below the critical level at the range's worst
     angle, where the angular speed first vanishes.  The critical passage
     radius rc is the annulus bound of ``annulus_bound``, the critical
-    squared energy is rc^2 (d-2)/d for the side degree d, and the cap is the
-    start radius whose energy matches it.  Unlimited (inf) when the annulus
-    is.  ``rng`` is "transit" for the side's own half circle or "full" for
-    the whole circle (smooth sub-system orbits).
+    squared energy is h2 = rc^2 (d-2)/d for the side degree d, and the cap
+    is the start radius whose energy matches it: the root of
+    r0^2 + 2 a0 r0^d = h2, which is the level curve at angle 0, where the
+    profile is a0.  ``_level_radii`` solves it.  Unlimited (inf) when the
+    annulus is.  ``rng`` is "transit" for the side's own half circle or
+    "full" for the whole circle (smooth sub-system orbits).
     """
     p = sys.side(side)
     d = p.degree
@@ -264,14 +322,16 @@ def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> f
         return math.inf
     h2_cap = rc * rc * (d - 2) / d
     a0 = float(p.axis_value)
-
-    def energy_gap(r0: float) -> float:
-        return r0 * r0 + 2.0 * a0 * r0 ** d - h2_cap
-
-    # the cap lies in (0, rc]: the axis energy at rc is >= the critical level
-    if energy_gap(rc) <= 0.0:
+    # The cap lies in (0, rc].  The axis energy at rc exceeds the critical
+    # level by rc^2 (2/d) (a0 - gmin) / -gmin, so it is at or below it only
+    # when the profile is least at angle 0, tied within rounding.  The cap
+    # is then rc itself: a double root of the level equation, which no
+    # bracket holds and which rounding blurs over about 1e-8 rc.
+    gmin = profile_min(p, *_angle_range(side, rng))[0]
+    if (a0 <= gmin + 4.0 * math.ulp(_coeff_scale(p))
+            or rc * rc + 2.0 * a0 * rc ** d <= h2_cap):
         return rc
-    return brentq(energy_gap, 1e-300, rc, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    return float(_level_radii(np.array([a0]), d, h2_cap, np.zeros(1))[0])
 
 
 def min_start_cap(sys: PiecewiseSystem) -> float:

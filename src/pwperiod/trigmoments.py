@@ -224,12 +224,19 @@ class HomogeneousPoly:
         return self(math.cos(theta), math.sin(theta))
 
     def power(self, j: int) -> tuple[Fraction, ...]:
-        """Coefficients of p^j in the same x^(D-i) y^i layout, D = j*degree."""
+        """Coefficients of p^j in the same x^(D-i) y^i layout, D = j*degree.
+
+        Each power is kept in ``memo``; p^j is p^k times p, j - k times over,
+        from the highest power p^k already held.
+        """
         if j < 0:
             raise ValueError("power must be nonnegative")
-        out = (Fraction(1),)
-        for _ in range(j):
-            out = _convolve(out, self._coeffs)
+        k = j
+        while k and ("power", k) not in self._memo:
+            k -= 1
+        out = self._memo[("power", k)] if k else (Fraction(1),)
+        for i in range(k + 1, j + 1):
+            out = self._memo[("power", i)] = _convolve(out, self._coeffs)
         return out
 
     def partial_x_coeffs(self) -> tuple[Fraction, ...]:

@@ -9,6 +9,7 @@ from pwperiod import (
     HypothesisNotMet,
     NotACenter,
     PiecewiseSystem,
+    combined_period_series,
     cross_validate,
     find_witness,
     half_equals_half_full_check,
@@ -85,6 +86,14 @@ class TestCrossValidate:
         lo = cross_validate(X2Y_Y3, order, [0.04])
         # the first dropped term has exponent 7
         assert hi / lo > 2.0 ** (order) * 0.7
+
+    def test_series_beyond_float_range_is_the_worst_deviation(self):
+        # at r0 = 1e100 the series' powers overflow and it evaluates to nan,
+        # which max() alone would drop; the ODE clock still gives T ~ 1e-50
+        sys = CENTER_SUITE["x2y2/y4"][0]
+        series = combined_period_series(sys, jmax=4)
+        assert math.isnan(series(1e100)) and math.isfinite(series(0.1))
+        assert cross_validate(sys, 8, [0.1, 1e100]) == math.inf
 
 
 class TestMonotonicityProfile:

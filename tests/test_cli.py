@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -306,6 +307,39 @@ class TestCsvAndMain:
                         f"[lower]\ndegree = 4\ncoeffs = 0, 0, 0, 0, {big}\n")
         assert main([str(spec), "--rmax", "1e-100", "--samples", "4"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_main_ode_clock_failure_prints_no_numpy_warning(self, tmp_path, capsys):
+        # the same NaN on the interpolant: scipy's interpolant used to warn
+        # ("invalid value encountered in dot") before the failure line
+        big = "1" + "0" * 300
+        spec = tmp_path / "sys.txt"
+        spec.write_text(f"[upper]\ndegree = 4\ncoeffs = 0, 0, {big}, 0, 0\n"
+                        f"[lower]\ndegree = 4\ncoeffs = 0, 0, 0, 0, {big}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(spec), "--rmax", "1e-100", "--samples", "4"])
+        assert code == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+
+    def test_main_series_beyond_float_range_is_an_anomaly(self, tmp_path, capsys):
+        # x^2 y^2 / y^4 has unbounded annuli; at r0 near 1e100 the powers of
+        # the series overflow while the ODE clock still measures T ~ 1e-50
+        spec = tmp_path / "sys.txt"
+        spec.write_text("[upper]\ndegree = 4\ncoeffs = 0, 0, 1, 0, 0\n"
+                        "[lower]\ndegree = 4\ncoeffs = 0, 0, 0, 0, 1\n")
+        csv = tmp_path / "out.csv"
+        assert main([str(spec), "--rmax", "1e100", "--samples", "4",
+                     "--csv", str(csv), "--no-timestamp"]) == 0
+        out = capsys.readouterr().out
+        assert "series crosscheck, max |T_numeric - T_series|: inf" in out
+        assert "anomaly: series evaluated outside its range" in out
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        for r0, t_numeric, t_series, deviation in rows:
+            assert 0.0 < float(t_numeric) < 1e-40
+            assert math.isnan(float(t_series)) and math.isnan(float(deviation))
 
     @pytest.mark.parametrize("coeff", ["1e400", "1e308"])
     def test_main_coefficient_beyond_float_range(self, tmp_path, capsys, coeff):

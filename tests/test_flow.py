@@ -26,7 +26,13 @@ from pwperiod import (
     start_radius_cap,
 )
 from pwperiod import flow
-from pwperiod.flow import _FloatDOP853, _level_radii
+from pwperiod.flow import (
+    MAX_NODES,
+    _clenshaw_curtis_estimates,
+    _clenshaw_curtis_weights,
+    _FloatDOP853,
+    _level_radii,
+)
 from pwperiod.systems import profile_min
 
 from conftest import CENTER_SUITE, KNOWN_OBSTRUCTIONS, NONCENTER_SUITE, hp, zero
@@ -190,6 +196,47 @@ class TestQuadratureRoute:
             cap = start_radius_cap(X2Y_Y3, "lower", rng)
             with pytest.raises(QuadratureFailure, match="did not converge"):
                 period(X2Y_Y3, "lower", cap * (1.0 - 1e-9))
+
+
+# interval counts of the quadrature clock's rules, 32 through MAX_NODES
+RULE_SIZES = [2 ** i for i in range(5, MAX_NODES.bit_length())]
+
+
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_weights_integrate_even_monomials(self, n):
+        w = _clenshaw_curtis_weights(n)
+        assert len(w) == n + 1
+        assert abs(w.sum() - 2.0) <= 1e-14
+        # |x|^k at the exact node cos(j pi / n), as exp(k log|x|) with
+        # log|x| = log1p(-2 sin^2(theta / 2)) for theta folded into [0, pi/2]:
+        # the double nearest the node would move x^k by up to k 2^-53
+        j = np.arange(n + 1)
+        theta = np.minimum(j, n - j) * (math.pi / n)
+        with np.errstate(divide="ignore"):
+            log_x = np.log1p(-2.0 * np.sin(0.5 * theta) ** 2)
+        for k in range(2, n + 1, 2):
+            exact = 2.0 / (k + 1)
+            value = np.dot(w, np.exp(k * log_x))
+            assert abs(value - exact) <= 1e-14 * exact, (k, value, exact)
+
+    def test_nested_estimates_equal_fresh_rules(self):
+        # the doubling keeps the values of the even nodes and evaluates only
+        # the odd ones; every estimate must be the fresh rule's to the bit
+        lo, hi = 0.3, 2.9
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return 1.0 / (1.0 + 25.0 * (x - 1.0) ** 2) + x ** 3
+
+        estimates = list(_clenshaw_curtis_estimates(f, lo, hi, 32))
+        assert sizes == [33] + RULE_SIZES[:-1]
+        assert len(estimates) == len(RULE_SIZES)
+        for n, estimate in zip(RULE_SIZES, estimates):
+            nodes = mid + half * np.cos(np.arange(n + 1) * (math.pi / n))
+            assert estimate == half * np.dot(_clenshaw_curtis_weights(n), f(nodes)), n
 
 
 def _mp_level_time(p, r0, lo, hi):

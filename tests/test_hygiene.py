@@ -91,3 +91,28 @@ def test_scan_sees_a_dead_helper():
 def test_no_dead_private_helpers():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_helpers(sources) == []
+
+
+def imports_scipy(source: str) -> bool:
+    """Whether a module imports scipy or any of its submodules."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            return True
+    return False
+
+
+def test_scan_sees_a_scipy_import():
+    assert imports_scipy("import numpy\ndef f():\n    from scipy.optimize import brentq\n")
+    assert imports_scipy("import scipy.integrate as si\n")
+    assert not imports_scipy("import numpy\nfrom .scipy_free import f\nimport scipyish\n")
+
+
+def test_only_the_ode_clock_imports_scipy():
+    # the ODE clock drives scipy's solve_ivp; nothing else at runtime needs it
+    assert [p.name for p in MODULES if imports_scipy(p.read_text())] == ["flow.py"]

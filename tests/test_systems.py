@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,41 @@ class TestStartRadiusCap:
         sys = PiecewiseSystem(hp(3, 1, 0, 0, 0), zero(3))
         with pytest.raises(ValueError):
             start_radius_cap(sys, "upper", "half")
+
+    def test_cap_solves_the_axis_energy_equation(self, center_suite, noncenter_suite):
+        # the root of r^2 + 2 a0 r^d = rc^2 (d - 2) / d below rc, to 1 ulp
+        # of a 40-digit root for the same rc
+        systems = [entry[0] for entry in center_suite.values()] + list(noncenter_suite.values())
+        checked = 0
+        for sys in systems:
+            for side in ("upper", "lower"):
+                p = sys.side(side)
+                if p.degree == 2 or p.is_zero():
+                    continue
+                d, a0 = p.degree, mpmath.mpf(p.axis_value.numerator) / p.axis_value.denominator
+                for rng in ("transit", "full"):
+                    cap = start_radius_cap(sys, side, rng)
+                    if not math.isfinite(cap):
+                        continue
+                    rc = annulus_bound(sys, side, rng).r_star
+                    with mpmath.workdps(40):
+                        h2 = mpmath.mpf(rc * rc * (d - 2) / d)
+                        root = mpmath.findroot(lambda r: r * r + 2 * a0 * r ** d - h2, cap)
+                        assert 0 < root < rc
+                    assert abs(cap - root) <= 2.3e-16 * root, (sys, side, rng, cap, root)
+                    checked += 1
+        assert checked == 50
+
+    @pytest.mark.parametrize("p", [hp(3, -1, 0, 0, 0), hp(4, -1, 0, 0, 0, 0),
+                                   hp(5, -2, 0, 1, 0, 0, 0)], ids=["-x3", "-x4", "-2x5+x3y2"])
+    def test_cap_at_a_profile_minimum_on_the_axis_is_the_bound(self, p):
+        # the profile is least at angle 0 (2 pi on the lower half circle),
+        # where it is a0: the level equation has a double root at rc, which
+        # the cap returns exactly instead of a root blurred by rounding
+        for sys, side in ((PiecewiseSystem(p, zero(3)), "upper"),
+                          (PiecewiseSystem(zero(3), p), "lower")):
+            for rng in ("transit", "full"):
+                assert start_radius_cap(sys, side, rng) == annulus_bound(sys, side, rng).r_star
 
     def test_cap_never_exceeds_annulus(self, center_suite, noncenter_suite):
         for name, entry in center_suite.items():

@@ -186,6 +186,28 @@ class TestHomogeneousPoly:
         assert math.isclose(val, p(x, y) ** 3, rel_tol=1e-13)
         assert p.power(0) == (F(1),)
 
+    def test_power_builds_on_the_highest_held_power(self, monkeypatch):
+        convolve = pwperiod.trigmoments._convolve
+        calls = []
+        monkeypatch.setattr(pwperiod.trigmoments, "_convolve",
+                            lambda a, b: calls.append(len(a)) or convolve(a, b))
+        p = hp(3, 1, 0, -2, 1)
+        assert p.power(3) == hp(3, 1, 0, -2, 1).power(3)
+        calls.clear()
+        assert p.power(2) == hp(3, 1, 0, -2, 1).power(2) and calls == [1, 4]
+        # p^5 = p^3 * p * p: one convolution per step from the held p^3
+        calls.clear()
+        fifth = p.power(5)
+        assert calls == [10, 13]
+        assert fifth == hp(3, 1, 0, -2, 1).power(5)
+
+    def test_power_far_beyond_the_recursion_limit(self, monkeypatch):
+        # a loop, not recursion: 2000 steps from a fresh polynomial, each one
+        # call of the convolution (stubbed here to keep the test fast)
+        calls = []
+        monkeypatch.setattr(pwperiod.trigmoments, "_convolve", lambda a, b: calls.append(1) or a)
+        assert hp(2, 1, 0, 0).power(2000) == (F(1),) and len(calls) == 2000
+
     def test_partials_are_exact(self):
         p = hp(4, 1, 2, 3, 4, 5)
         # d/dx sum c_i x^(4-i) y^i = sum (4-i) c_i x^(3-i) y^i
