@@ -52,6 +52,8 @@ __all__ = [
     "WitnessSearch",
     "find_witness",
     "cross_validate",
+    "crosscheck_rows",
+    "worst_deviation",
     "monotonicity_profile",
     "predicted_profiles",
     "half_equals_half_full_check",
@@ -70,7 +72,6 @@ class WitnessSearch:
     witness: tuple[float, float, float] | None  # (r0, period, |period - 2 pi|)
     anomalies: list[str] = field(default_factory=list)
     evaluations: int = 0
-    prediction: tuple[int, float] | None = None  # first obstruction (exponent, float coeff)
 
 
 @dataclass
@@ -131,15 +132,15 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
             return out
 
     r_start = None
-    series_ok = all(p.is_zero() or p.degree >= 3 for p in (sys.upper, sys.lower))
-    if series_ok:
+    try:
         obstruction = first_obstruction(sys)
-        if obstruction is not None:
-            e, coeff = obstruction
-            mu = abs(float(coeff))
-            out.prediction = (e, float(coeff))
-            if mu > 0.0:
-                r_start = min(max((10.0 * tol / mu) ** (1.0 / e), 1e-8), r_hi)
+    except DegreeTooLow:
+        obstruction = None
+    if obstruction is not None:
+        e, coeff = obstruction
+        mu = abs(float(coeff))
+        if mu > 0.0:
+            r_start = min(max((10.0 * tol / mu) ** (1.0 / e), 1e-8), r_hi)
     if r_start is None:
         r_start = r_hi / 2.0 ** 16
 
@@ -159,6 +160,31 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
     return out
 
 
+def crosscheck_rows(sys: PiecewiseSystem, series: PeriodSeries | None,
+                    grid) -> list[tuple[float, float, float, float]]:
+    """Rows (r0, T_numeric, T_series, deviation) over the grid.
+
+    Without a series the last two columns are nan.
+    """
+    rows = []
+    for r0 in grid:
+        r0 = float(r0)
+        t_num = numeric_period(sys, r0)
+        t_ser = series(r0) if series is not None else math.nan
+        rows.append((r0, t_num, t_ser, abs(t_num - t_ser)))
+    return rows
+
+
+def worst_deviation(rows) -> float:
+    """Largest deviation among crosscheck rows, 0 for no rows.
+
+    A series value beyond float range (nan or inf) fits worst of all, so a
+    non-finite deviation counts as +inf; max() alone would keep or drop a
+    nan depending on the order.
+    """
+    return max((dev if math.isfinite(dev) else math.inf for *_, dev in rows), default=0.0)
+
+
 def cross_validate(sys: PiecewiseSystem, order: int, grid) -> float:
     """Largest deviation between the ODE period and the truncated series.
 
@@ -167,12 +193,7 @@ def cross_validate(sys: PiecewiseSystem, order: int, grid) -> float:
     which the acceptance tests check by halving the grid.
     """
     series = combined_period_series(sys, jmax=jmax_for_order(sys, order)).truncate(order)
-    worst = 0.0
-    for r0 in grid:
-        dev = abs(numeric_period(sys, float(r0)) - series(float(r0)))
-        # a series value beyond float range (nan) fits worst, not best
-        worst = max(worst, dev if math.isfinite(dev) else math.inf)
-    return worst
+    return worst_deviation(crosscheck_rows(sys, series, grid))
 
 
 def monotonicity_profile(sys: PiecewiseSystem, side: str) -> str:

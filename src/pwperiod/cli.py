@@ -40,9 +40,11 @@ import numpy as np
 from .analysis import (
     CONSTANT,
     AnalysisReport,
+    crosscheck_rows,
     find_witness,
     monotonicity_profile,
     predicted_profiles,
+    worst_deviation,
 )
 from .errors import (
     DegreeMismatch,
@@ -54,7 +56,7 @@ from .errors import (
     RootBracketFailure,
     StepFailure,
 )
-from .flow import correspondence_gap, numeric_period
+from .flow import correspondence_gap
 from .periodseries import combined_period_series, jmax_for_order
 from .systems import (
     SIDES,
@@ -302,21 +304,8 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
             anomalies.append(
                 f"{side} profile {tag} disagrees with the predicted {sorted(allowed)}")
 
-    rows = []
-    worst = None
-    for r0 in grid:
-        r0 = float(r0)
-        t_num = numeric_period(system, r0)
-        if series is not None:
-            t_ser = series(r0)
-            dev = abs(t_num - t_ser)
-            # a series value beyond float range fits worst of all; max() would
-            # keep or drop a nan depending on the order
-            worst = max(worst or 0.0, dev if math.isfinite(dev) else math.inf)
-        else:
-            t_ser = math.nan
-            dev = math.nan
-        rows.append((r0, t_num, t_ser, dev))
+    rows = crosscheck_rows(system, series, grid)
+    worst = worst_deviation(rows) if series is not None else None
     # A series with terms that fits the numeric periods no better than the
     # constant 2*pi alone is being evaluated outside the range where it means
     # anything.  A series without terms is the constant itself.

@@ -28,9 +28,10 @@ weight of a0^(j-i) c_i in the coefficient of r0^(j(n-1)) is
 
     period_i(n) * 2^(j-i) * C(i(n-1)/2, j-i).
 
-``period_coefficient`` evaluates period_j at a concrete n in O(j) rational
-operations; ``CoefficientTable`` returns the same coefficients, and lam_j and
-the weights, as polynomials in n.  ``reversion_oracle`` solves the level
+``period_coefficient`` evaluates period_j at a concrete n = p/q as one
+integer product, (-1)^j prod_{k<j} (j(p+q) - 2kq), over q^j j!;
+``CoefficientTable`` returns the same coefficients, and lam_j and the
+weights, as polynomials in n.  ``reversion_oracle`` solves the level
 equation at a concrete n by undetermined coefficients, a route that shares
 nothing with the closed form, so each can check the other.
 """
@@ -157,44 +158,30 @@ def _as_poly(value) -> ParamPoly:
     raise TypeError(f"cannot coerce {type(value).__name__} to ParamPoly")
 
 
-_Factors = tuple[Fraction, list[tuple[Fraction, Fraction]]]  # scalar, (const, slope) pairs
-
-
-def _linear_factors(a: Rational, b: Rational, k: int) -> _Factors:
-    """C(a*n + b, k) as 1/k! and the k factors (b - t) + a*n."""
+def binom_linear(a: Rational, b: Rational, k: int) -> ParamPoly:
+    """Generalized binomial C(a*n + b, k) as a ParamPoly of degree k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     a, b = as_fraction(a), as_fraction(b)
-    return Fraction(1, factorial(k)), [(b - t, a) for t in range(k)]
-
-
-def _expand(scalar: Fraction, factors: list[tuple[Fraction, Fraction]]) -> ParamPoly:
-    out = ParamPoly((scalar,))
-    for const, slope in factors:
-        out = out * ParamPoly((const, slope))
+    out = ParamPoly((Fraction(1, factorial(k)),))
+    for t in range(k):
+        out = out * ParamPoly((b - t, a))
     return out
-
-
-def binom_linear(a: Rational, b: Rational, k: int) -> ParamPoly:
-    """Generalized binomial C(a*n + b, k) as a ParamPoly of degree k."""
-    return _expand(*_linear_factors(a, b, k))
-
-
-def _period_factors(j: int) -> _Factors:
-    """period_j(n) = (-2)^j C(j(n+1)/2, j) as a scalar and j linear factors."""
-    if j < 1:
-        raise ValueError("reduced index must be at least 1")
-    scalar, factors = _linear_factors(Fraction(j, 2), Fraction(j, 2), j)
-    return (-2) ** j * scalar, factors
 
 
 def period_coefficient(j: int, n: Rational) -> Fraction:
-    """Coefficient of c_j h^(j(n-1)) in the half-period series, at concrete n."""
+    """Coefficient of c_j h^(j(n-1)) in the half-period series, at concrete n.
+
+    For n = p/q, period_j(n) = (-1)^j prod_{k<j} (j(p+q) - 2kq) / (q^j j!).
+    """
+    if j < 1:
+        raise ValueError("reduced index must be at least 1")
     n = as_fraction(n)
-    out, factors = _period_factors(j)
-    for const, slope in factors:
-        out *= const + slope * n
-    return out
+    p, q = n.numerator, n.denominator
+    num = (-1) ** j
+    for k in range(j):
+        num *= j * (p + q) - 2 * k * q
+    return Fraction(num, q ** j * factorial(j))
 
 
 class CoefficientTable:
@@ -223,7 +210,7 @@ class CoefficientTable:
 
     def period(self, j: int) -> ParamPoly:
         self._check_index(j)
-        return _expand(*_period_factors(j))
+        return binom_linear(Fraction(j, 2), Fraction(j, 2), j) * (-2) ** j
 
     def weight(self, j: int, i: int) -> ParamPoly:
         self._check_index(j)

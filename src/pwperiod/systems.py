@@ -96,7 +96,6 @@ class CenterClass:
 class AnnulusEstimate:
     """Outer radius bound of the period annulus for one side."""
 
-    side: str
     r_star: float
     theta_star: float | None
 
@@ -229,15 +228,15 @@ def annulus_bound(sys: PiecewiseSystem, side: str, rng: str = "full") -> Annulus
     p = sys.side(side)
     lo, hi = _angle_range(side, rng)
     if p.is_zero():
-        return AnnulusEstimate(side, math.inf, None)
+        return AnnulusEstimate(math.inf, None)
     if p.degree == 2:
         raise DegreeTooLow("annulus bound is defined for nonlinearity degree >= 3")
     d = p.degree
     gmin, theta = profile_min(p, lo, hi)
     if gmin >= -1e-13 * _coeff_scale(p):
-        return AnnulusEstimate(side, math.inf, None)
+        return AnnulusEstimate(math.inf, None)
     r_star = (d * (-gmin)) ** (-1.0 / (d - 2))
-    return AnnulusEstimate(side, r_star, theta)
+    return AnnulusEstimate(r_star, theta)
 
 
 def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndarray:

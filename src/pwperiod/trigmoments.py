@@ -353,10 +353,6 @@ def profile_power_integral(p: HomogeneousPoly, j: int, rng: str = FULL) -> TrigV
     _check_range(rng)
     if j < 0:
         raise ValueError("power must be nonnegative")
-    if j == 0:
-        if rng == FULL:
-            return TWO_PI
-        return PI
     coeffs = p.power(j)
     big_d = j * p.degree
     total = TRIG_ZERO

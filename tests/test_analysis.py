@@ -70,6 +70,13 @@ class TestFindWitness:
         assert out.witness is None
         assert any("budget" in a for a in out.anomalies)
 
+    def test_quadratic_side_sweeps_without_a_series(self):
+        # no series for a quadratic side: the sweep starts without a prediction
+        out = find_witness(CENTER_SUITE["x2y2/x2:2"][0], tol=100.0, budget=5)
+        assert out.witness is None
+        assert out.evaluations == 5
+        assert any("budget" in a for a in out.anomalies)
+
 
 class TestCrossValidate:
     def test_zero_system_noise_floor(self):

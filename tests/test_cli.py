@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwperiod import EscapedAnnulus, ParseError, PiecewiseSystem, QuadratureFailure
+from pwperiod import (
+    DegreeTooLow,
+    EscapedAnnulus,
+    ParseError,
+    PiecewiseSystem,
+    QuadratureFailure,
+    cross_validate,
+)
 from pwperiod import cli
 from pwperiod.cli import (
     CSV_HEADER,
@@ -20,7 +27,7 @@ from pwperiod.cli import (
 )
 from pwperiod.errors import DegreeMismatch
 
-from conftest import hp, zero
+from conftest import CENTER_SUITE, hp, zero
 
 GOOD = """\
 [upper]                # comments may trail anything
@@ -222,6 +229,19 @@ class TestRunReport:
         sys = PiecewiseSystem(hp(2, F(-3, 2), 0, 0), zero(2))
         with pytest.raises(EscapedAnnulus):
             run_report(sys, AnalysisOptions())
+
+    @pytest.mark.parametrize("name", ["x2y/y3", "x4/xy2", "x2y2/x2:2"])
+    def test_crosscheck_is_cross_validate(self, name):
+        sys = CENTER_SUITE[name][0]
+        options = AnalysisOptions(order=8, rmax=0.1, samples=5, seed=4)
+        bundle = run_report(sys, options)
+        grid = [r0 for r0, *_ in bundle.period_rows]
+        if bundle.report.series is None:
+            assert bundle.report.crosscheck is None
+            with pytest.raises(DegreeTooLow):
+                cross_validate(sys, options.order, grid)
+        else:
+            assert bundle.report.crosscheck == cross_validate(sys, options.order, grid)
 
     def test_same_seed_same_rows(self):
         sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))

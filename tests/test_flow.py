@@ -33,7 +33,6 @@ from pwperiod.flow import (
     _FloatDOP853,
     _level_radii,
 )
-from pwperiod.systems import profile_min
 
 from conftest import CENTER_SUITE, KNOWN_OBSTRUCTIONS, NONCENTER_SUITE, hp, zero
 
@@ -239,12 +238,47 @@ class TestClenshawCurtis:
             assert estimate == half * np.dot(_clenshaw_curtis_weights(n), f(nodes)), n
 
 
+def _mp_profile_minima(p):
+    """Angles in [0, 2 pi) of the local minima of g, sorted, at working precision.
+
+    g'(theta) = q(cos theta, sin theta) with q = -y p_x + x p_y, so the
+    critical angles are arctan of the real roots of q(1, t), plus pi/2 and
+    3 pi/2 when q(1, t) has lower degree than q; a critical angle is a
+    minimum where g' changes sign from - to +.  Nothing here comes from the
+    package's own profile search.
+    """
+    d, c = p.degree, [F(0), *p.coeffs, F(0)]
+    # coefficient of x^(d-k) y^k in q
+    q = [(k + 1) * c[k + 2] - (d - k + 1) * c[k] for k in range(d + 1)]
+    while q and q[-1] == 0:
+        q.pop()
+    if not q:
+        return []
+    mp_q = [mpmath.mpf(v.numerator) / v.denominator for v in q]
+    angles = [mpmath.pi / 2, 3 * mpmath.pi / 2] if len(q) <= d else []
+    if len(q) > 1:
+        roots = mpmath.polyroots(mp_q[::-1], maxsteps=200, extraprec=100)
+        for t in roots:
+            if abs(mpmath.im(t)) <= mpmath.mpf(10) ** -20 * (1 + abs(t)):
+                theta = mpmath.atan(mpmath.re(t)) % mpmath.pi
+                angles += [theta, theta + mpmath.pi]
+    angles.sort()
+
+    def slope(theta):
+        cos, sin = mpmath.cos(theta), mpmath.sin(theta)
+        return mpmath.fsum(v * cos ** (d - k) * sin ** k for k, v in enumerate(mp_q))
+
+    ends = [angles[-1] - 2 * mpmath.pi, *angles, angles[0] + 2 * mpmath.pi]
+    return [theta for before, theta, after in zip(ends, ends[1:], ends[2:])
+            if slope((before + theta) / 2) < 0 < slope((theta + after) / 2)]
+
+
 def _mp_level_time(p, r0, lo, hi):
     """30-digit integral of dtheta / angular speed along the level curve.
 
     The radius comes from Newton on r^2 + 2 g r^d = h^2 started at h; a
     positive speed at the result shows it is the root before the fold.  The
-    range is split where g is least, where the integrand peaks.
+    range is split at every local minimum of g, where the integrand peaks.
     """
     d = p.degree
     cs = [mpmath.mpf(c.numerator) / c.denominator for c in p.coeffs]
@@ -266,8 +300,8 @@ def _mp_level_time(p, r0, lo, hi):
         assert r > 0 and speed > 0
         return 1 / speed
 
-    peak = profile_min(p, float(lo), float(hi))[1]
-    value, error = mpmath.quad(integrand, sorted({lo, mpmath.mpf(peak), hi}), error=True)
+    splits = [lo, *(theta for theta in _mp_profile_minima(p) if lo < theta < hi), hi]
+    value, error = mpmath.quad(integrand, splits, error=True)
     assert error <= 1e-20 * abs(value)
     return value
 
@@ -421,6 +455,37 @@ def test_smooth_period_near_the_cap_of_a_single_minimum(p):
         reference = _mp_level_time(p, r0, 0, 2 * mpmath.pi)
     value = smooth_period(system, "upper", r0)
     assert abs(value - reference) <= 1e-12 * abs(reference), (value, reference)
+
+def test_reference_minima_of_x2y():
+    # g = cos^2 sin has g' = cos (cos^2 - 2 sin^2): minima where tan = 1/sqrt(2)
+    # on the lower half circle, and the zero at pi/2
+    with mpmath.workdps(30):
+        t = mpmath.atan(1 / mpmath.sqrt(2))
+        expected = [mpmath.pi / 2, mpmath.pi + t, 2 * mpmath.pi - t]
+        minima = _mp_profile_minima(hp(3, 0, 1, 0, 0))
+        assert len(minima) == 3
+        assert all(abs(a - b) <= mpmath.mpf(10) ** -28 for a, b in zip(minima, expected))
+
+
+# x^2 y has two minima on the lower half circle; the reference must split at
+# both.  Each case: system, side, range, clock, and its angles in units of pi
+TWO_MINIMA_CASES = {
+    "x5/x2y:lower:transit": (NONCENTER_SUITE["x5/x2y"], "lower", "transit",
+                             quadrature_period, (1, 2)),
+    "x2y/y3:upper:full": (CENTER_SUITE["x2y/y3"][0], "upper", "full", smooth_period, (0, 2)),
+}
+
+
+@pytest.mark.parametrize("system, side, rng, period, span", TWO_MINIMA_CASES.values(),
+                         ids=TWO_MINIMA_CASES.keys())
+def test_quadrature_near_the_cap_of_two_minima(system, side, rng, period, span):
+    r0 = 0.999 * start_radius_cap(system, side, rng)
+    with mpmath.workdps(30):
+        lo, hi = (k * mpmath.pi for k in span)
+        reference = _mp_level_time(system.side(side), r0, lo, hi)
+    value = period(system, side, r0)
+    assert abs(value - reference) <= 1e-12 * abs(reference), (value, reference)
+
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(3, 7),

@@ -93,6 +93,54 @@ def test_no_dead_private_helpers():
     assert dead_private_helpers(sources) == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _attribute_loads(tree: ast.Module) -> set[str]:
+    """Attribute names a module loads, except those it only calls, like ``sys.side(...)``."""
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in callees}
+
+
+def dead_dataclass_fields(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Dataclass fields of ``package`` that no attribute load names, as ``module.Class.field``.
+
+    Loads are gathered from the package sources and from ``readers``.
+    """
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    loads = set().union(*map(_attribute_loads, [*trees.values(), *map(ast.parse, readers)]))
+    return sorted(f"{name}.{node.name}.{stmt.target.id}"
+                  for name, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in loads)
+
+
+def test_scan_sees_a_dead_field():
+    package = {"a": ("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\nclass P:\n    kept: int\n    side: str\n"
+                     "    gone: float = 0.0\n"
+                     "    def side_of(self):\n        return self.kept\n"
+                     "class Plain:\n    unread: int\n")}
+    reader = "def f(p):\n    p.gone = 1\n    return p.side('upper')\n"
+    assert dead_dataclass_fields(package, [reader]) == ["a.P.gone", "a.P.side"]
+
+
+def test_no_dead_dataclass_fields():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    tests = [p.read_text() for p in Path(__file__).parent.glob("*.py")]
+    assert dead_dataclass_fields(package, tests) == []
+
+
 def imports_scipy(source: str) -> bool:
     """Whether a module imports scipy or any of its submodules."""
     for node in ast.walk(ast.parse(source)):

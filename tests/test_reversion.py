@@ -167,6 +167,14 @@ def test_closed_form_against_oracle_deep():
             assert table.radius(j)(n) == beta[j - 1], (n, j)
 
 
+@pytest.mark.parametrize("n", [F(5, 3), F(-1, 2), "7/4", 3])
+def test_closed_form_at_rational_n(n):
+    # the integer form carries q^j in its denominator for n = p/q
+    table = build_coefficient_table(12)
+    for j in range(1, 13):
+        assert period_coefficient(j, n) == table.period(j)(n), (n, j)
+
+
 def test_weight_table_structure():
     table = build_coefficient_table(5)
     for j in range(1, 6):
