@@ -203,13 +203,13 @@ def monotonicity_profile(sys: PiecewiseSystem, side: str) -> str:
     of its whole-circle start cap (up to 1 when the cap is unlimited) and
     classifies the shape: constant, decreasing, increasing (reported as
     unbounded growth when the annulus is bounded, which is what forces the
-    increase to continue), or a single interior minimum.
+    increase to continue), or a single interior minimum.  A zero or
+    quadratic side is CONSTANT without sampling: its angular speed does not
+    depend on the radius.
     """
     p = sys.side(side)
-    if p.is_zero():
+    if p.is_zero() or p.degree == 2:
         return CONSTANT
-    if p.degree == 2:
-        raise DegreeTooLow("period profile needs nonlinearity degree >= 3")
     cap = start_radius_cap(sys, side, "full")
     top = 0.8 * cap if math.isfinite(cap) else 1.0
     values = [smooth_period(sys, side, float(r))

@@ -294,11 +294,7 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
 
     monotonicity: dict[str, str] = {}
     for side in SIDES:
-        try:
-            tag = monotonicity_profile(system, side)
-        except DegreeTooLow:
-            tag = CONSTANT  # quadratic side: period has no radius dependence
-        monotonicity[side] = tag
+        monotonicity[side] = tag = monotonicity_profile(system, side)
         allowed = predicted_profiles(system, side)
         if tag not in allowed and tag != CONSTANT:
             anomalies.append(

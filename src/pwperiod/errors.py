@@ -6,7 +6,7 @@ class PwPeriodError(Exception):
 
 
 class DegreeTooLow(PwPeriodError):
-    """Operation requires a nonlinearity of degree >= 3 on the given side."""
+    """A quadratic side has no period series: the expansion needs degree >= 3."""
 
 
 class NotACenter(PwPeriodError):

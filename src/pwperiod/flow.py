@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 from typing import Callable
 
 import numpy as np
@@ -85,12 +86,17 @@ def _check_start(sys: PiecewiseSystem, side: str, r0: float, rng: str) -> None:
 
     A crossing orbit's piece passes only the side's own half circle
     ("transit"); a smooth sub-system orbit passes the whole circle ("full").
+    The bound is ``annulus_bound``'s, so an empty quadratic annulus refuses
+    every start.  A start whose square underflows (r0 below about 1.5e-154)
+    is refused too: its energy, and the energy drift measured against it,
+    have no precision left.
     """
     if not 0.0 < r0 < math.inf:
         raise ValueError("start radius must be positive and finite")
-    p = sys.side(side)
-    if p.is_zero() or p.degree == 2:
-        return
+    if r0 * r0 < float_info.min:
+        raise StepFailure(
+            f"start radius {r0} is too small: its square underflows the float range"
+        )
     bound = annulus_bound(sys, side, rng).r_star
     if r0 >= bound:
         raise EscapedAnnulus(
@@ -244,8 +250,10 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
     The upper side is integrated forward in time; the lower side is
     integrated with the reversed field so that the trajectory traverses
     y < 0 while the reported time stays the positive transit duration.
-    The axis crossing is event-located and then polished with a Newton
-    correction on the true field, leaving |y| at roundoff level.
+    The absolute tolerance is ATOL capped at RTOL r_start, so the relative
+    accuracy holds at any start radius.  The axis crossing is event-located
+    and then polished with a Newton correction on the true field, leaving
+    |y| at roundoff level.
     """
     _check_start(sys, side, r_start, "transit")
     p = sys.side(side)
@@ -276,7 +284,8 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
         # interpolant warns on them; the checks below turn them into errors
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_ivp(rhs, (0.0, MAX_TIME), (r_start, 0.0), method=_FloatDOP853,
-                            rtol=RTOL, atol=ATOL, events=(crossing, escape),
+                            rtol=RTOL, atol=min(ATOL, RTOL * r_start),
+                            events=(crossing, escape),
                             dense_output=False, field=field)
     except ValueError as exc:
         # scipy's event root search refuses a NaN on the step's interpolant
@@ -312,10 +321,11 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
     def energy(u, v):
         return 0.5 * (u * u + v * v) + p(u, v)
 
+    # inside the annulus h0 is of the order of r_start^2 / 2, which
+    # _check_start keeps above underflow
     h0 = energy(r_start, 0.0)
-    scale = max(abs(h0), 1e-30)
     drift = float(np.abs(energy(sol.y[0], sol.y[1]) - h0).max())
-    drift = max(drift, abs(energy(x, y) - h0)) / scale
+    drift = max(drift, abs(energy(x, y) - h0)) / abs(h0)
     return HalfOrbitResult(
         r_end=math.hypot(x, y),
         time=t_cross,
@@ -419,15 +429,8 @@ def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) ->
     def integrand(theta: np.ndarray) -> np.ndarray:
         g = p(np.cos(theta), np.sin(theta))
         if d == 2:
-            # the speed 1 + 2 g is radius free; the level curve is bounded
-            # only where it is positive
+            # the speed 1 + 2 g is radius free
             speed = 1.0 + 2.0 * g
-            unbounded = speed <= 0.0
-            if unbounded.any():
-                raise RootBracketFailure(
-                    f"level curve is unbounded at angle {theta[unbounded][0]:.6f}; "
-                    "the quadratic profile overwhelms the rotation"
-                )
         else:
             speed = 1.0 + d * g * _level_radii(g, d, h2, theta) ** (d - 2)
         stalled = speed <= 1e-12

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegreeTooLow, RootBracketFailure
+from .errors import RootBracketFailure
 from .trigmoments import HomogeneousPoly
 
 SIGMA_CENTER = "SigmaCenter"
@@ -221,22 +221,21 @@ def annulus_bound(sys: PiecewiseSystem, side: str, rng: str = "full") -> Annulus
     The annulus ends where the angular speed 1 + (degree) g(theta) r^(degree-2)
     first vanishes, so r_star = ((degree) * max(-g))^(-1/(degree-2)) whenever
     the profile g takes negative values on the range, and the annulus is
-    unbounded otherwise.  The extremum comes from ``profile_min``.  ``rng``
-    is "full" for the whole circle or "transit" for the side's own half
-    circle, the angles a crossing orbit's piece on that side passes.
+    unbounded otherwise; a zero side is unbounded.  A quadratic side's speed
+    1 + 2 g does not depend on the radius, so its annulus is all or nothing:
+    unbounded when 2 max(-g) < 1, else empty (r_star = 0 at the angle of
+    the minimum).  The extremum comes from ``profile_min``.  ``rng`` is
+    "full" for the whole circle or "transit" for the side's own half circle,
+    the angles a crossing orbit's piece on that side passes.
     """
     p = sys.side(side)
-    lo, hi = _angle_range(side, rng)
-    if p.is_zero():
-        return AnnulusEstimate(math.inf, None)
-    if p.degree == 2:
-        raise DegreeTooLow("annulus bound is defined for nonlinearity degree >= 3")
     d = p.degree
-    gmin, theta = profile_min(p, lo, hi)
-    if gmin >= -1e-13 * _coeff_scale(p):
+    gmin, theta = profile_min(p, *_angle_range(side, rng))
+    if d == 2 and 2.0 * -gmin >= 1.0:
+        return AnnulusEstimate(0.0, theta)
+    if d == 2 or gmin >= -1e-13 * _coeff_scale(p):
         return AnnulusEstimate(math.inf, None)
-    r_star = (d * (-gmin)) ** (-1.0 / (d - 2))
-    return AnnulusEstimate(r_star, theta)
+    return AnnulusEstimate((d * (-gmin)) ** (-1.0 / (d - 2)), theta)
 
 
 def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndarray:
@@ -306,19 +305,16 @@ def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> f
     squared energy is h2 = rc^2 (d-2)/d for the side degree d, and the cap
     is the start radius whose energy matches it: the root of
     r0^2 + 2 a0 r0^d = h2, which is the level curve at angle 0, where the
-    profile is a0.  ``_level_radii`` solves it.  Unlimited (inf) when the
-    annulus is.  ``rng`` is "transit" for the side's own half circle or
-    "full" for the whole circle (smooth sub-system orbits).
+    profile is a0.  ``_level_radii`` solves it.  When the annulus is
+    unbounded (inf) or empty (0, a quadratic side), the cap is the bound
+    itself.  ``rng`` is "transit" for the side's own half circle or "full"
+    for the whole circle (smooth sub-system orbits).
     """
     p = sys.side(side)
     d = p.degree
-    if d == 2:
-        # angular speed 1 + 2 g is radius independent
-        gmin = profile_min(p, *_angle_range(side, rng))[0]
-        return math.inf if 2.0 * -gmin < 1.0 else 0.0
     rc = annulus_bound(sys, side, rng).r_star
-    if math.isinf(rc):
-        return math.inf
+    if not 0.0 < rc < math.inf:
+        return rc
     h2_cap = rc * rc * (d - 2) / d
     a0 = float(p.axis_value)
     # The cap lies in (0, rc].  The axis energy at rc exceeds the critical

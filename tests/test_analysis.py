@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pwperiod import (
-    DegreeTooLow,
     HypothesisNotMet,
     NotACenter,
     PiecewiseSystem,
@@ -117,10 +116,10 @@ class TestMonotonicityProfile:
         sys = PiecewiseSystem(zero(3), zero(3))
         assert monotonicity_profile(sys, "upper") == CONSTANT
 
-    def test_quadratic_side_raises(self):
+    def test_quadratic_side_constant(self):
+        # the angular speed 1 + 2 g of a quadratic side is radius free
         sys = PiecewiseSystem(hp(2, 1, 0, 0), zero(2))
-        with pytest.raises(DegreeTooLow):
-            monotonicity_profile(sys, "upper")
+        assert monotonicity_profile(sys, "upper") == CONSTANT
 
     def test_suite_tags_fall_in_predicted_sets(self, center_suite):
         for name, (sys, _) in center_suite.items():

@@ -13,6 +13,7 @@ from pwperiod import (
     PiecewiseSystem,
     QuadratureFailure,
     cross_validate,
+    quadrature_period,
 )
 from pwperiod import cli
 from pwperiod.cli import (
@@ -243,6 +244,17 @@ class TestRunReport:
         else:
             assert bundle.report.crosscheck == cross_validate(sys, options.order, grid)
 
+    def test_tiny_rmax_reports_no_false_witness(self):
+        # near r0 = 1e-9 the period is 2 pi + 2e-9; the ODE clock used to
+        # err by 4e-6 there and report its own error as a witness
+        sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))
+        rep = run_report(sys, AnalysisOptions(rmax=1e-9)).report
+        if rep.witness is not None:
+            r0, _, dev = rep.witness
+            quad = quadrature_period(sys, "upper", r0) + quadrature_period(sys, "lower", r0)
+            assert abs(dev - abs(quad - 2 * math.pi)) <= 1e-9
+        assert rep.crosscheck <= 1e-9
+
     def test_same_seed_same_rows(self):
         sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))
         options = AnalysisOptions(samples=5, rmax=0.1, seed=11)
@@ -316,6 +328,15 @@ class TestCsvAndMain:
         spec.write_text("[upper]\ndegree=2\ncoeffs=-3/2,0,0\n[lower]\ndegree=2\ncoeffs=0,0,0\n")
         assert main([str(spec)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_main_start_radius_below_underflow_is_a_numerical_failure(self, tmp_path,
+                                                                      capsys):
+        spec = tmp_path / "sys.txt"
+        spec.write_text(GOOD)
+        assert main([str(spec), "--rmax", "1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: start radius") and "too small" in err
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_main_nan_during_event_location_is_a_numerical_failure(self, tmp_path, capsys):

@@ -86,21 +86,21 @@ class TestHalfOrbit:
             half_orbit(X3_Y3, "upper", 0.0)
 
     def test_nan_on_the_interpolant_is_a_step_failure(self):
-        # x^2 y^2 / y^4 at 1e300: the stages overflow, the crossing's
+        # x^2 y^2 / y^4 at 1e150: the stages overflow, the crossing's
         # interpolant holds NaN and brentq refuses it with a ValueError
-        big = 10**300
+        big = 10**150
         system = PiecewiseSystem(hp(4, 0, 0, big, 0, 0), hp(4, 0, 0, 0, 0, big))
         with np.errstate(all="ignore"), pytest.raises(StepFailure, match="event location"):
-            half_orbit(system, "lower", 1e-100)
+            half_orbit(system, "upper", 1e-26)
 
     def test_nonfinite_crossing_is_a_step_failure(self):
-        # x^2 y^2 / y^4 at 1e200: the interpolant's root is found, but the
+        # x^2 y^2 / y^4 at 1e160: the interpolant's root is found, but the
         # crossing point it gives is NaN; it used to come back as a NaN time
         # and radius with degraded False
-        big = 10**200
+        big = 10**160
         system = PiecewiseSystem(hp(4, 0, 0, big, 0, 0), hp(4, 0, 0, 0, 0, big))
         with np.errstate(all="ignore"), pytest.raises(StepFailure, match="non-finite"):
-            half_orbit(system, "upper", 1e-58)
+            half_orbit(system, "upper", 1e10)
 
     def test_field_overflow_at_the_start_is_a_step_failure(self):
         # at r0 = 1e200 the field overflows one step from the start, so
@@ -115,6 +115,13 @@ class TestHalfOrbit:
         for r0 in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 half_orbit(X2Y_Y3, "upper", r0)
+
+    def test_start_whose_square_underflows_is_refused(self):
+        # below about 1.5e-154 the start energy has no precision left; both
+        # clocks refuse the start with an error the CLI maps to exit 3
+        for clock in (half_orbit, quadrature_period, smooth_period):
+            with pytest.raises(StepFailure, match="too small"):
+                clock(X2Y_Y3, "upper", 1e-160)
 
     def test_drift_within_bound_across_suite(self):
         for name, (sys, _) in CENTER_SUITE.items():
@@ -151,6 +158,19 @@ class TestNumericPeriod:
         series = combined_period_series(X2Y_Y3, jmax=10)
         r0 = 0.01
         assert abs(numeric_period(X2Y_Y3, r0) - series(r0)) < 1e-11
+
+    @pytest.mark.parametrize("name", ["x2y/y3", "x4y/x2y", "x2y2/y4"])
+    def test_matches_quadrature_at_tiny_radii(self, name):
+        # the absolute tolerance follows the start radius, so the relative
+        # accuracy and the drift check hold however small the orbit; with a
+        # fixed 1e-14 the error grew to 3e-7 at r0 = 5e-8, and at 1e-50 the
+        # period came out 2.3, not flagged
+        system = CENTER_SUITE[name][0]
+        for r0 in (1e-4, 1e-8, 1e-12, 1e-50, 1e-150):
+            quad = quadrature_period(system, "upper", r0) + quadrature_period(system, "lower", r0)
+            assert abs(numeric_period(system, r0) - quad) <= 1e-9, (r0,)
+            for side in ("upper", "lower"):
+                assert not half_orbit(system, side, r0).degraded, (r0, side)
 
 
 class TestQuadratureRoute:
@@ -367,7 +387,8 @@ def _stock_transit(system, side, r0):
     escape.terminal = True
     escape.direction = 1.0
     sol = solve_ivp(rhs, (0.0, flow.MAX_TIME), (r0, 0.0), method="DOP853",
-                    rtol=flow.RTOL, atol=flow.ATOL, events=(crossing, escape))
+                    rtol=flow.RTOL, atol=min(flow.ATOL, flow.RTOL * r0),
+                    events=(crossing, escape))
     assert sol.status == 1 and len(sol.t_events[0]) == 1
     x, y = sol.y_events[0][0]
     return float(sol.t_events[0][0]), math.hypot(x, y), len(sol.t) - 1, sol.nfev
@@ -532,6 +553,14 @@ class TestSmoothPeriod:
         sys = PiecewiseSystem(hp(2, F(-1, 2) + F(1, 2 * 10**13), 0, 0), zero(2))
         with pytest.raises(RootBracketFailure, match="angular speed vanished"):
             smooth_period(sys, "upper", 0.3)
+
+    def test_empty_quadratic_annulus_refuses_every_clock(self):
+        # -x^2: the speed 1 + 2 g is -1 at theta = 0 whatever the radius, so
+        # annulus_bound leaves no annulus and every start is refused up front
+        system = PiecewiseSystem(hp(2, -1, 0, 0), hp(2, -1, 0, 0))
+        for clock in (half_orbit, quadrature_period, smooth_period):
+            with pytest.raises(EscapedAnnulus, match="annulus bound 0"):
+                clock(system, "upper", 0.3)
 
     def test_quadratic_side_closed_form(self):
         # speed 1 + 2g is radius free; for (3/2)x^2 the full period is

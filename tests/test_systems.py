@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwperiod import (
-    DegreeTooLow,
     PiecewiseSystem,
     annulus_bound,
     classify,
@@ -127,10 +126,17 @@ class TestAnnulusBound:
         assert est.r_star == math.inf
         assert not annulus_bound(sys, "lower").bounded
 
-    def test_quadratic_side_raises(self):
-        sys = PiecewiseSystem(hp(2, 1, 0, 0), zero(2))
-        with pytest.raises(DegreeTooLow):
-            annulus_bound(sys, "upper")
+    def test_quadratic_side_is_all_or_nothing(self):
+        # the speed 1 + 2 g is radius free: positive everywhere, or the
+        # annulus is empty from the angle of the minimum on
+        sys = PiecewiseSystem(hp(2, 1, 0, 0), hp(2, -1, 0, 0))
+        up = annulus_bound(sys, "upper")
+        assert not up.bounded and up.theta_star is None
+        lo = annulus_bound(sys, "lower")
+        assert lo.r_star == 0.0
+        assert lo.theta_star == profile_min(sys.lower, 0.0, 2 * math.pi)[1]
+        assert start_radius_cap(sys, "upper") == math.inf
+        assert start_radius_cap(sys, "lower") == 0.0
 
 
 class TestProfileMin:
