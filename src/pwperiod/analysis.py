@@ -24,7 +24,6 @@ from .periodseries import (
     jmax_for_order,
 )
 from .systems import (
-    SIGMA_CENTER,
     CenterClass,
     PiecewiseSystem,
     annulus_bound,
@@ -37,6 +36,9 @@ from .trigmoments import TrigValue, profile_power_integral
 TWO_PI = 2.0 * math.pi
 # radii at which the monotonicity tag samples a side's whole-circle period
 PROFILE_POINTS = 9
+# fraction of the whole-circle start cap they reach; nearer the cap the
+# quadrature clock stops converging on some sides
+PROFILE_REACH = 0.95
 # odd powers of the profile whose half-range moments must vanish before an
 # even exponent side may use the half-period identity
 MOMENT_BOUND = 15
@@ -107,7 +109,7 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
     budget without success is reported honestly.
     """
     verdict = classify(sys)
-    if verdict.verdict != SIGMA_CENTER:
+    if not verdict.is_center:
         raise NotACenter(f"witness search needs a center: {verdict.reason}")
     out = WitnessSearch(witness=None)
     r_hi = _default_r_hi(sys, r_max)
@@ -199,11 +201,12 @@ def cross_validate(sys: PiecewiseSystem, order: int, grid) -> float:
 def monotonicity_profile(sys: PiecewiseSystem, side: str) -> str:
     """Tag the sampled whole-circle period profile of one side.
 
-    Samples the side as a smooth system on PROFILE_POINTS radii up to 0.8
-    of its whole-circle start cap (up to 1 when the cap is unlimited) and
-    classifies the shape: constant, decreasing, increasing (reported as
-    unbounded growth when the annulus is bounded, which is what forces the
-    increase to continue), or a single interior minimum.  A zero or
+    Samples the side as a smooth system on PROFILE_POINTS radii up to
+    PROFILE_REACH of its whole-circle start cap (up to 1 when the cap is
+    unlimited) and classifies the shape: constant, decreasing, increasing
+    (reported as unbounded growth when the annulus is bounded, which is what
+    forces the increase to continue), or a single interior minimum.  A
+    minimum closer to the cap than PROFILE_REACH is missed.  A zero or
     quadratic side is CONSTANT without sampling: its angular speed does not
     depend on the radius.
     """
@@ -211,7 +214,7 @@ def monotonicity_profile(sys: PiecewiseSystem, side: str) -> str:
     if p.is_zero() or p.degree == 2:
         return CONSTANT
     cap = start_radius_cap(sys, side, "full")
-    top = 0.8 * cap if math.isfinite(cap) else 1.0
+    top = PROFILE_REACH * cap if math.isfinite(cap) else 1.0
     values = [smooth_period(sys, side, float(r))
               for r in np.linspace(0.05 * top, top, PROFILE_POINTS)]
     scale = max(abs(v) for v in values)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from sys import float_info
 from typing import Callable
 
@@ -43,7 +44,6 @@ from .errors import (
 )
 from .systems import (
     LOWER_SIDE,
-    SIGMA_CENTER,
     UPPER_SIDE,
     PiecewiseSystem,
     _angle_range,
@@ -349,7 +349,7 @@ def correspondence_gap(sys: PiecewiseSystem, r0: float) -> float:
 def numeric_period(sys: PiecewiseSystem, r0: float) -> float:
     """Period of the closed crossing orbit through (r0, 0), by the ODE route."""
     verdict = classify(sys)
-    if verdict.verdict != SIGMA_CENTER:
+    if not verdict.is_center:
         raise NotACenter(f"periods need a center: {verdict.reason}")
     up = half_orbit(sys, UPPER_SIDE, r0)
     lo = half_orbit(sys, LOWER_SIDE, r0)
@@ -364,9 +364,9 @@ MAX_NODES = 8192
 QUAD_ATOL = 1e-13
 QUAD_RTOL = 1e-12
 
-_CLENSHAW_CURTIS_WEIGHTS: dict[int, np.ndarray] = {}
 
-
+# keyed on the nested rules' interval counts, 32 ... MAX_NODES, so it stays small
+@cache
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Weights of the Clenshaw-Curtis rule on [-1, 1] with n intervals, n even.
 
@@ -376,15 +376,12 @@ def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     even Chebyshev polynomials T_j, plus Waldvogel's correction g, which
     turns that rule into Clenshaw-Curtis.  Cached per n.
     """
-    w = _CLENSHAW_CURTIS_WEIGHTS.get(n)
-    if w is None:
-        odd = np.arange(1.0, n, 2.0)
-        v = np.concatenate((2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(n // 2)))
-        g = np.full(n, -1.0)
-        g[n // 2] += 2.0 * n
-        w = np.fft.ifft(g / (n * n - 1.0) - v[:-1] - v[:0:-1]).real
-        w = _CLENSHAW_CURTIS_WEIGHTS[n] = np.append(w, w[0])
-    return w
+    odd = np.arange(1.0, n, 2.0)
+    v = np.concatenate((2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(n // 2)))
+    g = np.full(n, -1.0)
+    g[n // 2] += 2.0 * n
+    w = np.fft.ifft(g / (n * n - 1.0) - v[:-1] - v[:0:-1]).real
+    return np.append(w, w[0])
 
 
 def _clenshaw_curtis_estimates(f: Callable, lo: float, hi: float, n: int):

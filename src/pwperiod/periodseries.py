@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .errors import DegreeTooLow, NotACenter
 from .reversion import period_coefficient
-from .systems import LOWER_SIDE, SIGMA_CENTER, UPPER_SIDE, _angle_range, classify
+from .systems import LOWER_SIDE, UPPER_SIDE, _angle_range, classify
 from .trigmoments import (
     FULL,
     PI,
@@ -206,7 +206,7 @@ def combined_period_series(sys, jmax: int = 8) -> PeriodSeries:
     order.
     """
     verdict = classify(sys)
-    if verdict.verdict != SIGMA_CENTER:
+    if not verdict.is_center:
         raise NotACenter(f"period series requires a center, got: {verdict.reason}")
     step_up = _grid_step(sys.upper)
     step_lo = _grid_step(sys.lower)

@@ -146,7 +146,7 @@ class HomogeneousPoly:
     be detected through :meth:`is_zero`.
     """
 
-    __slots__ = ("_degree", "_coeffs", "_floats", "_memo")
+    __slots__ = ("_degree", "_coeffs", "_memo")
 
     def __init__(self, degree: int, coeffs: Sequence[Rational]):
         if not isinstance(degree, int) or degree < 2:
@@ -158,7 +158,6 @@ class HomogeneousPoly:
             )
         self._degree = degree
         self._coeffs = coeffs
-        self._floats = None
         self._memo = {}
 
     @classmethod
@@ -182,15 +181,13 @@ class HomogeneousPoly:
         return all(c == 0 for c in self._coeffs)
 
     def float_coeffs(self) -> tuple[tuple[float, ...], ...]:
-        """Float coefficients of p, dp/dx and dp/dy, built on first use.
+        """Float coefficients of p, dp/dx and dp/dy, built once in ``memo``.
 
-        Raises OverflowError when one of them is beyond float range; the
-        exact series never needs them.
+        Raises OverflowError when one of them is beyond float range, and
+        keeps nothing then; the exact series never needs them.
         """
-        if self._floats is None:
-            self._floats = tuple(tuple(float(c) for c in cs) for cs in (
-                self._coeffs, self.partial_x_coeffs(), self.partial_y_coeffs()))
-        return self._floats
+        return self.memo("floats", lambda: tuple(tuple(float(c) for c in cs) for cs in (
+            self._coeffs, self.partial_x_coeffs(), self.partial_y_coeffs())))
 
     def memo(self, key, compute: Callable[[], T]) -> T:
         """``compute()``, computed once per polynomial and ``key``.
@@ -205,18 +202,19 @@ class HomogeneousPoly:
     def forms(self) -> tuple[Callable, Callable, Callable]:
         """Compiled float evaluators ``f(x, y)`` of p, dp/dx and dp/dy.
 
-        Each takes floats or numpy arrays.  They live in a module-level
-        cache keyed on the float coefficients, not on the polynomial, so a
-        HomogeneousPoly stays picklable.
+        Each takes floats or numpy arrays.  They are compiled from
+        ``float_coeffs()`` and live in a module-level cache keyed on those
+        coefficients, not in ``memo``: a HomogeneousPoly stays picklable, and
+        a fresh polynomial equal to one seen before reuses its forms.
         """
-        return tuple(_compiled_form(cs) for cs in self._floats or self.float_coeffs())
+        return tuple(_compiled_form(cs) for cs in self.float_coeffs())
 
     def __call__(self, x: float, y: float) -> float:
-        return _compiled_form((self._floats or self.float_coeffs())[0])(x, y)
+        return _compiled_form(self.float_coeffs()[0])(x, y)
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
         """Float value of (dp/dx, dp/dy) at (x, y)."""
-        _, px, py = self._floats or self.float_coeffs()
+        _, px, py = self.float_coeffs()
         return _compiled_form(px)(x, y), _compiled_form(py)(x, y)
 
     def profile(self, theta: float) -> float:

@@ -121,6 +121,13 @@ class TestMonotonicityProfile:
         sys = PiecewiseSystem(hp(2, 1, 0, 0), zero(2))
         assert monotonicity_profile(sys, "upper") == CONSTANT
 
+    def test_late_minimum_is_min_critical(self):
+        # the lower side's period falls to 4.649 at 0.8 of its cap and rises
+        # to 4.862 at 0.9: samples stopping at 0.8 saw only the decrease
+        sys = PiecewiseSystem(hp(3, 0, 2, 0, 0), hp(4, 1, 0, F(-1, 2), 0, 0))
+        assert monotonicity_profile(sys, "lower") == MIN_CRITICAL
+        assert MIN_CRITICAL in predicted_profiles(sys, "lower")
+
     def test_suite_tags_fall_in_predicted_sets(self, center_suite):
         for name, (sys, _) in center_suite.items():
             for side in ("upper", "lower"):

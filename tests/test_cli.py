@@ -282,6 +282,16 @@ class TestRender:
         text = render_report(run_report(sys, AnalysisOptions(samples=4)))
         assert "anomalies: none" in text
 
+    def test_clock_noise_is_not_a_series_outside_its_range(self):
+        # at r0 <= 1e-20 the period is 2 pi to within the ODE clock's own
+        # 1e-12 error, so the series and the constant 2*pi fit equally well
+        sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))
+        bundle = run_report(sys, AnalysisOptions(rmax=1e-20, samples=8))
+        text = render_report(bundle)
+        assert "outside its range" not in text
+        assert "anomalies: none" in text
+        assert bundle.report.crosscheck <= 1e-9
+
     def test_quadratic_pair_renders_constant_anomaly(self):
         sys = PiecewiseSystem(hp(2, F(3, 2), 0, 0), zero(2))
         text = render_report(run_report(sys, AnalysisOptions(samples=4, seed=2)))
@@ -340,29 +350,31 @@ class TestCsvAndMain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_main_nan_during_event_location_is_a_numerical_failure(self, tmp_path, capsys):
-        # 10^300 coefficients at rmax 1e-100: brentq meets a NaN on the lower
+        # 10^150 coefficients at rmax 1e-25: brentq meets a NaN on the upper
         # transit's interpolant, which used to escape as scipy's ValueError
-        big = "1" + "0" * 300
+        big = "1" + "0" * 150
         spec = tmp_path / "sys.txt"
         spec.write_text(f"[upper]\ndegree = 4\ncoeffs = 0, 0, {big}, 0, 0\n"
                         f"[lower]\ndegree = 4\ncoeffs = 0, 0, 0, 0, {big}\n")
-        assert main([str(spec), "--rmax", "1e-100", "--samples", "4"]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert main([str(spec), "--rmax", "1e-25", "--samples", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "event location failed" in err
 
     def test_main_ode_clock_failure_prints_no_numpy_warning(self, tmp_path, capsys):
         # the same NaN on the interpolant: scipy's interpolant used to warn
         # ("invalid value encountered in dot") before the failure line
-        big = "1" + "0" * 300
+        big = "1" + "0" * 150
         spec = tmp_path / "sys.txt"
         spec.write_text(f"[upper]\ndegree = 4\ncoeffs = 0, 0, {big}, 0, 0\n"
                         f"[lower]\ndegree = 4\ncoeffs = 0, 0, 0, 0, {big}\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([str(spec), "--rmax", "1e-100", "--samples", "4"])
+            code = main([str(spec), "--rmax", "1e-25", "--samples", "1"])
         assert code == 3
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+        assert "event location failed" in err[0]
 
     def test_main_series_beyond_float_range_is_an_anomaly(self, tmp_path, capsys):
         # x^2 y^2 / y^4 has unbounded annuli; at r0 near 1e100 the powers of

@@ -141,6 +141,83 @@ def test_no_dead_dataclass_fields():
     assert dead_dataclass_fields(package, tests) == []
 
 
+# methods that change a dict, list or set in place
+_MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+             "remove", "setdefault", "update"}
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_containers(tree: ast.Module) -> dict[str, int]:
+    """Module-level names bound to a dict, list or set, with their line."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if isinstance(value, _CONTAINERS) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in {"dict", "list", "set"}):
+            found.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def _mutated_globals(func: ast.AST) -> set[str]:
+    """Names a function changes in place and does not bind itself.
+
+    A change in place is an item store or delete, or a call of a method in
+    ``_MUTATORS``; arguments and assigned names are the function's own.
+    """
+    written, local = set(), set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS):
+            target = node.func.value
+        else:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                local.add(node.id)
+            elif isinstance(node, ast.arg):
+                local.add(node.arg)
+            continue
+        if isinstance(target, ast.Name):
+            written.add(target.id)
+    return written - local
+
+
+def hand_rolled_caches(source: str) -> list[str]:
+    """Module-level dicts, lists and sets a function of the module writes to.
+
+    Each is a hand-rolled cache, reported as ``name (line N)``; a
+    ``functools`` cache does the same job in one decorator.
+    """
+    tree = ast.parse(source)
+    containers = _module_containers(tree)
+    written = set().union(*(_mutated_globals(node) for node in ast.walk(tree)
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                 ast.Lambda))))
+    return [f"{name} (line {line})" for name, line in sorted(containers.items())
+            if name in written]
+
+
+def test_scan_sees_a_hand_rolled_cache():
+    source = ("_CACHE: dict[int, float] = {}\n_TABLE = {'a': {1}}\n_SEEN = set()\n"
+              "_SHADOWED = []\n_ORDER = [1, 2]\n_ORDER.append(3)\n"
+              "def f(n):\n    w = _CACHE.get(n)\n    if w is None:\n"
+              "        w = _CACHE[n] = float(n)\n    return w + len(_TABLE['a'])\n"
+              "def g(x, _SHADOWED):\n    _SHADOWED.append(x)\n    return lambda: _SEEN.add(x)\n")
+    assert hand_rolled_caches(source) == ["_CACHE (line 1)", "_SEEN (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_rolled_caches(path):
+    assert hand_rolled_caches(path.read_text()) == []
+
+
 def imports_scipy(source: str) -> bool:
     """Whether a module imports scipy or any of its submodules."""
     for node in ast.walk(ast.parse(source)):
