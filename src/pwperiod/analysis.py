@@ -1,11 +1,12 @@
 """Higher-level analysis: witnesses, cross-validation, period profiles.
 
-Everything here reports what was measured.  A missing witness is returned
-as None together with an explanatory anomaly string; a series that cannot
-be built (degenerate degree) simply stays absent.  No step hard-codes a
-theorem's conclusion: the constant-period case in particular is detected
-from the data and flagged as being in tension with the expected
-non-isochronicity, not suppressed.
+Everything here reports what was measured; the witness rests on measured
+periods alone.  A missing witness is returned as None together with an
+explanatory anomaly string; a series that cannot be built (degenerate
+degree) simply stays absent.  No step hard-codes a theorem's conclusion:
+the constant-period case in particular is detected from the data and
+flagged as being in tension with the expected non-isochronicity, not
+suppressed.
 """
 
 from __future__ import annotations
@@ -15,15 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegreeTooLow, HypothesisNotMet, NotACenter
-from .flow import numeric_period, quadrature_period, smooth_period
-from .periodseries import (
-    PeriodSeries,
-    combined_period_series,
-    first_obstruction,
-    jmax_for_order,
-)
+from .errors import HypothesisNotMet, NotACenter
+from .flow import half_orbit, numeric_period, quadrature_period, smooth_period
+from .periodseries import PeriodSeries, combined_period_series, jmax_for_order
 from .systems import (
+    LOWER_SIDE,
+    UPPER_SIDE,
     CenterClass,
     PiecewiseSystem,
     annulus_bound,
@@ -89,34 +87,36 @@ class AnalysisReport:
     anomalies: list[str]
 
 
-def _default_r_hi(sys: PiecewiseSystem, r_max: float | None) -> float:
-    cap = min_start_cap(sys)
-    r_hi = 0.8 * cap if math.isfinite(cap) else 0.5
-    if r_max is not None:
-        r_hi = min(r_hi, r_max)
-    return r_hi
-
-
 def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
-                 r_max: float | None = None, budget: int = 48) -> WitnessSearch:
+                 r_max: float | None = None) -> WitnessSearch:
     """Search for a radius whose period differs from 2 pi by more than tol.
 
-    The search first probes for a constant period profile (possible for
-    degenerate quadratic sides); a constant value away from 2 pi is an
-    anomaly, not a witness, since the period function does not vary.  When
-    the truncated series is available its first nonzero term supplies the
-    starting radius; otherwise a geometric sweep is used.  Exhausting the
-    budget without success is reported honestly.
+    The ODE clock measures the period once at each probe radius r_hi, r_hi/4
+    and r_hi/16, where r_hi is 0.8 of the start cap (0.5 when unlimited) and
+    at most r_max; the witness is the largest probe off 2 pi by more than
+    tol.  Equal periods at all probes are a constant profile (possible for
+    degenerate quadratic sides), an anomaly and not a witness when away
+    from 2 pi.  A degraded probe transit, or no probe beyond tol, is an
+    anomaly without a witness.
     """
     verdict = classify(sys)
     if not verdict.is_center:
         raise NotACenter(f"witness search needs a center: {verdict.reason}")
-    out = WitnessSearch(witness=None)
-    r_hi = _default_r_hi(sys, r_max)
-
+    cap = min_start_cap(sys)
+    r_hi = 0.8 * cap if math.isfinite(cap) else 0.5
+    if r_max is not None:
+        r_hi = min(r_hi, r_max)
     probes = [r_hi, r_hi / 4.0, r_hi / 16.0]
-    values = [numeric_period(sys, r) for r in probes]
-    out.evaluations += len(probes)
+    transits = [(half_orbit(sys, UPPER_SIDE, r), half_orbit(sys, LOWER_SIDE, r))
+                for r in probes]
+    out = WitnessSearch(witness=None, evaluations=len(probes))
+    if any(t.degraded for pair in transits for t in pair):
+        drift = max(t.energy_drift for pair in transits for t in pair)
+        out.anomalies.append(
+            f"ODE clock degraded at the probe radii up to r0 = {r_hi:.6g} (energy drift "
+            f"{drift:.3g}); the witness search reads no period from them")
+        return out
+    values = [up.time + lo.time for up, lo in transits]
     spread = max(values) - min(values)
     mean = sum(values) / len(values)
     if spread <= max(1e-9, 1e-12 * abs(mean)):
@@ -132,33 +132,9 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
         if dev > tol:
             out.witness = (r, value, dev)
             return out
-
-    r_start = None
-    try:
-        obstruction = first_obstruction(sys)
-    except DegreeTooLow:
-        obstruction = None
-    if obstruction is not None:
-        e, coeff = obstruction
-        mu = abs(float(coeff))
-        if mu > 0.0:
-            r_start = min(max((10.0 * tol / mu) ** (1.0 / e), 1e-8), r_hi)
-    if r_start is None:
-        r_start = r_hi / 2.0 ** 16
-
-    r = r_start
-    while r <= r_hi * (1.0 + 1e-12) and out.evaluations < budget:
-        value = numeric_period(sys, r)
-        out.evaluations += 1
-        dev = abs(value - TWO_PI)
-        if dev > tol:
-            out.witness = (r, value, dev)
-            return out
-        r *= 2.0
     out.anomalies.append(
-        f"no witness found within the evaluation budget ({out.evaluations} period "
-        f"evaluations up to r0 = {r_hi:.6g})"
-    )
+        f"no witness found: |period - 2*pi| <= {tol:g} at the probe radii "
+        f"r0 = {probes[0]:.6g}, {probes[1]:.6g} and {probes[2]:.6g}")
     return out
 
 

@@ -17,19 +17,21 @@ File format, line oriented, '#' starts a comment anywhere:
     tol = 1e-6
     seed = 0
 
-Coefficients are exact rationals ("2", "-1/3").  Option ranges:
+Coefficients are exact rationals ("2", "-1/3", "1e-3", exponent within
++-4300) whose floats are finite, and nonzero for nonzero ones.  Option ranges:
 1 <= order <= 128, 1 <= samples <= 100000, rmax and tol positive and
 finite, seed >= 0.  The upper bounds keep every run finite in time and
 memory: the exact series at order 128 takes seconds to minutes and about
-100 MB, and each sample radius holds one table row.  Exit codes:
-0 analysis completed (whatever the verdict), 2 malformed input file or
-option out of range, 3 numerical failure during analysis.
+100 MB, and each sample radius holds one table row.  Exit codes: 0
+analysis completed (whatever the verdict), 2 bad input file, option or CSV
+path, 3 numerical failure during analysis.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys as _sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -38,7 +40,6 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import (
-    CONSTANT,
     AnalysisReport,
     crosscheck_rows,
     find_witness,
@@ -84,6 +85,10 @@ MAX_ORDER = 128
 MAX_SAMPLES = 100_000
 # the two clocks' acceptance agreement: periods closer than this are equal
 CLOCK_AGREEMENT = 1e-9
+# Fraction builds 10^|exponent| exactly, which takes seconds from 10^7 on;
+# a coefficient written with a larger exponent is far outside float range
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?0*(\d+)$", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,9 @@ def parse_spec(text: str) -> ParsedSpec:
         for tok in tokens:
             if not tok:
                 _fail("empty coefficient entry", cline, craw)
+            exponent = _EXPONENT.search(tok.replace("_", ""))  # it may have millions of digits
+            if exponent and int(exponent[1][:5]) > MAX_EXPONENT:
+                _fail(f"coefficient exponent beyond +-{MAX_EXPONENT}", cline, craw, tok)
             try:
                 coeffs.append(Fraction(tok))
             except ZeroDivisionError:
@@ -209,9 +217,11 @@ def parse_spec(text: str) -> ParsedSpec:
                 f"{len(coeffs)} coefficients (need {degree + 1})", cline)
         polys[side] = HomogeneousPoly(degree, coeffs)
         try:
-            polys[side].float_coeffs()  # the numeric clocks need them
+            floats = polys[side].float_coeffs()[0]  # the numeric clocks need them
         except OverflowError:
             _fail("coefficient too large for floating-point evaluation", cline, craw)
+        if any(c and not f for c, f in zip(coeffs, floats)):
+            _fail("coefficient too small for floating-point evaluation", cline, craw)
 
     options = AnalysisOptions()
     if "options" in sections:
@@ -294,7 +304,7 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
     for side in SIDES:
         monotonicity[side] = tag = monotonicity_profile(system, side)
         allowed = predicted_profiles(system, side)
-        if tag not in allowed and tag != CONSTANT:
+        if tag not in allowed:
             anomalies.append(
                 f"{side} profile {tag} disagrees with the predicted {sorted(allowed)}")
 
@@ -405,7 +415,7 @@ def main(argv=None) -> int:
     try:
         with open(args.specfile, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.specfile}: {exc}", file=_sys.stderr)
         return 2
 
@@ -424,20 +434,33 @@ def main(argv=None) -> int:
         print(f"error: --{key} out of range: {overrides[key]}", file=_sys.stderr)
         return 2
 
+    # a valid file's exact coefficients can pass the int-to-str digit limit of
+    # Python >= 3.10.7; the limit stays on for parsing, which reads outside input
+    digit_limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        _sys.set_int_max_str_digits(0)
     try:
         bundle = run_report(parsed.system, options)
+        bundle.warnings = parsed.warnings + bundle.warnings
+        rendered = render_report(bundle)
     except (EscapedAnnulus, StepFailure, RootBracketFailure, QuadratureFailure) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 3
     except PwPeriodError as exc:
         print(f"analysis failure: {exc}", file=_sys.stderr)
         return 3
+    finally:
+        if digit_limit:
+            _sys.set_int_max_str_digits(digit_limit)
 
-    bundle.warnings = parsed.warnings + bundle.warnings
-    _sys.stdout.write(render_report(bundle))
+    _sys.stdout.write(rendered)
     if args.csv:
         rows = bundle.period_rows if bundle.period_rows is not None else []
-        write_csv(rows, args.csv, timestamp=not args.no_timestamp)
+        try:
+            write_csv(rows, args.csv, timestamp=not args.no_timestamp)
+        except OSError as exc:
+            print(f"error: cannot write {args.csv}: {exc}", file=_sys.stderr)
+            return 2
     return 0
 
 

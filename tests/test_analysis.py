@@ -65,16 +65,33 @@ class TestFindWitness:
 
     def test_budget_exhaustion_is_reported(self):
         # a huge tolerance cannot be beaten inside the annulus: honest no-find
-        out = find_witness(X2Y_Y3, tol=100.0, budget=8)
+        out = find_witness(X2Y_Y3, tol=100.0)
         assert out.witness is None
-        assert any("budget" in a for a in out.anomalies)
+        assert out.evaluations == 3
+        assert len(out.anomalies) == 1
+        assert out.anomalies[0].startswith("no witness found: |period - 2*pi| <= 100 "
+                                           "at the probe radii r0 = ")
 
-    def test_quadratic_side_sweeps_without_a_series(self):
-        # no series for a quadratic side: the sweep starts without a prediction
-        out = find_witness(CENTER_SUITE["x2y2/x2:2"][0], tol=100.0, budget=5)
+    def test_quadratic_side_without_a_witness_is_reported(self):
+        # no series for a quadratic side, and none needed: the probes decide
+        out = find_witness(CENTER_SUITE["x2y2/x2:2"][0], tol=100.0)
         assert out.witness is None
-        assert out.evaluations == 5
-        assert any("budget" in a for a in out.anomalies)
+        assert out.evaluations == 3
+        assert len(out.anomalies) == 1
+        assert out.anomalies[0].startswith("no witness found")
+
+    def test_degraded_probes_are_no_constant_period(self):
+        # at r0 ~ 1e-27 the 10^150 forms leave the ODE clock's energy drift
+        # far past its bound: the probes' equal periods are not a finding
+        big = 10**150
+        sys = PiecewiseSystem(hp(4, 0, 0, big, 0, 0), hp(4, 0, 0, 0, 0, big))
+        out = find_witness(sys, r_max=6.55e-27)
+        assert out.witness is None
+        assert out.evaluations == 3
+        assert len(out.anomalies) == 1
+        assert out.anomalies[0].startswith(
+            "ODE clock degraded at the probe radii up to r0 = 6.55e-27 (energy drift ")
+        assert "constant" not in out.anomalies[0]
 
 
 class TestCrossValidate:

@@ -1,4 +1,5 @@
 import math
+import sys as _sys
 import warnings
 from fractions import Fraction as F
 
@@ -255,6 +256,15 @@ class TestRunReport:
             assert abs(dev - abs(quad - 2 * math.pi)) <= 1e-9
         assert rep.crosscheck <= 1e-9
 
+    def test_constant_profile_on_a_nonlinear_side_is_an_anomaly(self, monkeypatch):
+        # cubic sides predict a varying profile, so a flat sampled one disagrees
+        monkeypatch.setattr("pwperiod.analysis.smooth_period", lambda *args: 6.0)
+        sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))
+        anomalies = run_report(sys, AnalysisOptions(samples=2)).report.anomalies
+        assert [a for a in anomalies if "profile constant disagrees" in a] == [
+            "upper profile constant disagrees with the predicted ['increasing_unbounded']",
+            "lower profile constant disagrees with the predicted ['increasing_unbounded']"]
+
     def test_same_seed_same_rows(self):
         sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))
         options = AnalysisOptions(samples=5, rmax=0.1, seed=11)
@@ -401,6 +411,63 @@ class TestCsvAndMain:
         assert main([str(spec)]) == 2
         err = capsys.readouterr().err
         assert "parse error" in err and "floating-point" in err
+
+    @pytest.mark.parametrize("coeff", ["1e-400", "1e-4000", "1e-5000"])
+    def test_main_coefficient_below_float_range(self, tmp_path, capsys, coeff):
+        # a float 0.0 would let the clocks integrate another system than the
+        # exact layer classifies; at 1e-5000 the reason's denominator also
+        # passed the interpreter's int-to-str digit limit
+        spec = tmp_path / "sys.txt"
+        spec.write_text(GOOD.replace("0, 1, 0, 0", f"{coeff}, 1, 0, 0"))
+        assert main([str(spec)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("parse error: coefficient "), err
+
+    @pytest.mark.parametrize("coeff", ["1e10000000", "-1E+10_000_000", "1e-99999"])
+    def test_main_refuses_a_huge_exponent_before_building_it(self, tmp_path, capsys,
+                                                             monkeypatch, coeff):
+        def exact(token):
+            # Fraction("1e10000000") builds 10^(10^7), which takes seconds
+            assert token != coeff, "the exponent reached Fraction"
+            return F(token)
+
+        monkeypatch.setattr(cli, "Fraction", exact)
+        spec = tmp_path / "sys.txt"
+        spec.write_text(GOOD.replace("0, 1, 0, 0", f"{coeff}, 1, 0, 0"))
+        assert main([str(spec)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["parse error: coefficient exponent beyond +-4300 (line 3, column 10)"]
+
+    def test_main_prints_series_past_the_int_digit_limit(self, tmp_path, capsys):
+        # a valid file whose order-128 series has coefficients of more than
+        # 4300 digits, the interpreter's default int-to-str limit
+        spec = tmp_path / "sys.txt"
+        spec.write_text(GOOD.replace(
+            "0, 1, 0, 0", "0, 1234567890123456789012345678901234567890123"
+            "/9876543210987654321098765432109876543211, 0, 0").replace(
+            "order = 6", "order = 128"))
+        limit = getattr(_sys, "get_int_max_str_digits", lambda: None)()
+        assert main([str(spec)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("first obstruction: exponent 1, coefficient -")
+                   for line in out)
+        assert max(len(line) for line in out) > 4300
+        assert getattr(_sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_main_unwritable_csv_path(self, tmp_path, capsys):
+        spec = tmp_path / "sys.txt"
+        spec.write_text(GOOD)
+        assert main([str(spec), "--csv", str(tmp_path / "missing" / "out.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write "), err
+
+    def test_main_undecodable_spec(self, tmp_path, capsys):
+        spec = tmp_path / "sys.txt"
+        spec.write_bytes(GOOD.replace("comments may trail anything",
+                                      "caf\xff").encode("latin-1"))
+        assert main([str(spec)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read "), err
 
     def test_main_unconverged_quadrature_is_a_numerical_failure(self, tmp_path, capsys,
                                                                monkeypatch):
