@@ -2,8 +2,7 @@
 
 Everything here reports what was measured; the witness rests on measured
 periods alone.  A missing witness is returned as None together with an
-explanatory anomaly string; a series that cannot be built (degenerate
-degree) simply stays absent.  No step hard-codes a theorem's conclusion:
+explanatory anomaly string.  No step hard-codes a theorem's conclusion:
 the constant-period case in particular is detected from the data and
 flagged as being in tension with the expected non-isochronicity, not
 suppressed.
@@ -82,7 +81,6 @@ class AnalysisReport:
     series: PeriodSeries | None
     obstruction: tuple[int, TrigValue] | None
     witness: tuple[float, float, float] | None
-    monotonicity: dict[str, str]
     crosscheck: float | None
     anomalies: list[str]
 
@@ -94,10 +92,11 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
     The ODE clock measures the period once at each probe radius r_hi, r_hi/4
     and r_hi/16, where r_hi is 0.8 of the start cap (0.5 when unlimited) and
     at most r_max; the witness is the largest probe off 2 pi by more than
-    tol.  Equal periods at all probes are a constant profile (possible for
-    degenerate quadratic sides), an anomaly and not a witness when away
-    from 2 pi.  A degraded probe transit, or no probe beyond tol, is an
-    anomaly without a witness.
+    tol.  Equal periods at all probes away from 2 pi are a constant profile,
+    an anomaly and not a witness; near 2 pi they end the search quietly only
+    when no side is nonlinear, since a nonlinear side's variation can fall
+    below the clocks' agreement.  A degraded probe transit, or no probe
+    beyond tol, is an anomaly without a witness.
     """
     verdict = classify(sys)
     if not verdict.is_center:
@@ -126,7 +125,9 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
                 "apparently isochronous center, in tension with the expected "
                 "non-isochronicity of nonlinear crossing centers"
             )
-        return out
+            return out
+        if all(p.is_zero() or p.degree == 2 for p in (sys.upper, sys.lower)):
+            return out
     for r, value in zip(probes, values):
         dev = abs(value - TWO_PI)
         if dev > tol:

@@ -67,6 +67,7 @@ from .systems import (
     classify,
     min_start_cap,
 )
+from .trigmoments import rational_str
 
 __all__ = [
     "AnalysisOptions",
@@ -112,8 +113,8 @@ class ParsedSpec:
 
 @dataclass
 class ReportBundle:
-    system: PiecewiseSystem
     report: AnalysisReport
+    lines: list[str]
     period_rows: list[tuple[float, float, float, float]] | None
     gap_rows: list[tuple[float, float]] | None
     warnings: list[str] = field(default_factory=list)
@@ -271,13 +272,32 @@ def _sample_grid(options: AnalysisOptions, r_cap: float) -> tuple[np.ndarray, bo
 
 
 def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundle:
-    """Run the full pipeline: classify, series, witness, profiles, CSV rows."""
+    """Run the full pipeline: classify, series, witness, profiles, CSV rows.
+
+    Each report line is written here, in order, where its fact is decided.
+    """
     classification = classify(system)
     anomalies: list[str] = []
     warnings: list[str] = []
+    case = f" (case {classification.case_tag})" if classification.case_tag else ""
+    lines = [f"classification: {classification.verdict}{case}",
+             f"  reason: {classification.reason}"]
+    for side in SIDES:
+        p = system.side(side)
+        coeffs = ", ".join(map(rational_str, p.coeffs))
+        lines.append(f"{side}: degree {p.degree}, coeffs [{coeffs}]")
+        est = annulus_bound(system, side)
+        lines.append(f"  annulus: r* = {est.r_star:.12g} at theta = {est.theta_star:.12g}"
+                     if est.bounded else "  annulus: unbounded")
+    if system.upper.is_zero() and system.lower.is_zero():
+        lines.append("verdict: isochronous (trivial linear system, period 2*pi)")
     r_cap = 0.8 * min_start_cap(system)
     if not r_cap > 0.0:
-        raise EscapedAnnulus("no closed crossing orbits exist near the origin")
+        if classification.is_center:
+            raise EscapedAnnulus("no closed crossing orbits exist near the origin")
+        warnings.append("no crossing orbits exist near the origin, so no correspondence gaps")
+        report = AnalysisReport(classification, None, None, None, None, anomalies)
+        return ReportBundle(report, lines, None, None, warnings)
     grid, clamped = _sample_grid(options, r_cap)
     if clamped:
         warnings.append(
@@ -285,45 +305,63 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
 
     if not classification.is_center:
         gap_rows = [(float(r0), correspondence_gap(system, float(r0))) for r0 in grid]
-        report = AnalysisReport(classification, None, None, None, {}, None, anomalies)
-        return ReportBundle(system, report, None, gap_rows, warnings)
+        lines.append("correspondence gap table (r0, gap):")
+        lines += [f"  {_fmt(r0)}  {_fmt(gap)}" for r0, gap in gap_rows]
+        report = AnalysisReport(classification, None, None, None, None, anomalies)
+        return ReportBundle(report, lines, None, gap_rows, warnings)
 
-    series = None
-    obstruction = None
     try:
         full = combined_period_series(system, jmax=jmax_for_order(system, options.order))
         series = full.truncate(options.order)
         obstruction = next(full.items(), None)
+        lines.append(f"period series in r0, truncated at exponent {series.truncation_order}:")
+        lines.append(f"  constant: {series.constant}")
+        lines += [f"  r0^{e}: {c}" for e, c in series.items()]
+        if not series.exponents:
+            lines.append("  (no correction terms through the truncation order)")
+        lines.append("first obstruction: none through the truncation order" if obstruction is None
+                     else "first obstruction: exponent %d, coefficient %s" % obstruction)
     except DegreeTooLow:
+        series = obstruction = None
         anomalies.append("series unavailable: a quadratic side has no expansion grid")
 
     search = find_witness(system, tol=options.tol, r_max=float(grid[-1]))
     anomalies.extend(search.anomalies)
+    if search.witness is None:
+        lines.append("witness: none found")
+    else:
+        r0, period, dev = search.witness
+        lines.append(f"witness: r0 = {_fmt(r0)}, period = {_fmt(period)}, "
+                     f"|period - 2*pi| = {_fmt(dev)}")
 
-    monotonicity: dict[str, str] = {}
+    tags = []
     for side in SIDES:
-        monotonicity[side] = tag = monotonicity_profile(system, side)
+        tag = monotonicity_profile(system, side)
+        tags.append(f"{side} {tag}")
         allowed = predicted_profiles(system, side)
         if tag not in allowed:
             anomalies.append(
                 f"{side} profile {tag} disagrees with the predicted {sorted(allowed)}")
+    lines.append(f"monotonicity: {', '.join(tags)}")
 
     rows = crosscheck_rows(system, series, grid)
-    worst = worst_deviation(rows) if series is not None else None
-    # A series with terms that fits the numeric periods no better than the
-    # constant 2*pi alone is being evaluated outside the range where it means
-    # anything.  A series without terms is the constant itself, and numeric
-    # periods within CLOCK_AGREEMENT of 2*pi leave only clock noise to compare.
-    if series is not None and series.exponents:
+    worst = None
+    if series is not None:
+        worst = worst_deviation(rows)
+        lines.append(f"series crosscheck, max |T_numeric - T_series|: {_fmt(worst)}")
+        # A series with terms that fits the numeric periods no better than the
+        # constant 2*pi alone is being evaluated outside the range where it
+        # means anything.  A series without terms is the constant itself, and
+        # periods within CLOCK_AGREEMENT of 2*pi leave only clock noise.
         baseline = max(abs(t_num - 2 * math.pi) for _, t_num, _, _ in rows)
-        if worst >= baseline > CLOCK_AGREEMENT:
+        if series.exponents and worst >= baseline > CLOCK_AGREEMENT:
             anomalies.append(
                 "series evaluated outside its range: the crosscheck is no better than "
                 f"the constant term alone, max |T_numeric - 2*pi|: {_fmt(baseline)}")
 
-    report = AnalysisReport(classification, series, obstruction, search.witness,
-                            monotonicity, worst, anomalies)
-    return ReportBundle(system, report, rows, None, warnings)
+    report = AnalysisReport(classification, series, obstruction, search.witness, worst,
+                            anomalies)
+    return ReportBundle(report, lines, rows, None, warnings)
 
 
 def _fmt(value: float) -> str:
@@ -331,58 +369,9 @@ def _fmt(value: float) -> str:
 
 
 def render_report(bundle: ReportBundle) -> str:
-    """Human readable summary of a ReportBundle."""
-    rep = bundle.report
-    sys_ = bundle.system
-    lines = []
-    tag = f" (case {rep.classification.case_tag})" if rep.classification.case_tag else ""
-    lines.append(f"classification: {rep.classification.verdict}{tag}")
-    lines.append(f"  reason: {rep.classification.reason}")
-    for side in SIDES:
-        p = sys_.side(side)
-        desc = ", ".join(str(c) for c in p.coeffs)
-        lines.append(f"{side}: degree {p.degree}, coeffs [{desc}]")
-        est = annulus_bound(sys_, side)
-        if est.bounded:
-            lines.append(f"  annulus: r* = {est.r_star:.12g} at theta = {est.theta_star:.12g}")
-        else:
-            lines.append("  annulus: unbounded")
-    if sys_.upper.is_zero() and sys_.lower.is_zero():
-        lines.append("verdict: isochronous (trivial linear system, period 2*pi)")
-    if rep.series is not None:
-        lines.append(f"period series in r0, truncated at exponent {rep.series.truncation_order}:")
-        lines.append(f"  constant: {rep.series.constant}")
-        for e, c in rep.series.items():
-            lines.append(f"  r0^{e}: {c}")
-        if not rep.series.exponents:
-            lines.append("  (no correction terms through the truncation order)")
-    if rep.obstruction is not None:
-        e, c = rep.obstruction
-        lines.append(f"first obstruction: exponent {e}, coefficient {c}")
-    elif rep.series is not None:
-        lines.append("first obstruction: none through the truncation order")
-    if rep.witness is not None:
-        r0, period, dev = rep.witness
-        lines.append(f"witness: r0 = {_fmt(r0)}, period = {_fmt(period)}, "
-                     f"|period - 2*pi| = {_fmt(dev)}")
-    elif rep.classification.is_center:
-        lines.append("witness: none found")
-    if rep.monotonicity:
-        pieces = ", ".join(f"{side} {tag}" for side, tag in rep.monotonicity.items())
-        lines.append(f"monotonicity: {pieces}")
-    if rep.crosscheck is not None:
-        lines.append(f"series crosscheck, max |T_numeric - T_series|: {_fmt(rep.crosscheck)}")
-    if bundle.gap_rows is not None:
-        lines.append("correspondence gap table (r0, gap):")
-        for r0, gap in bundle.gap_rows:
-            lines.append(f"  {_fmt(r0)}  {_fmt(gap)}")
-    for note in bundle.warnings:
-        lines.append(f"warning: {note}")
-    if rep.anomalies:
-        for note in rep.anomalies:
-            lines.append(f"anomaly: {note}")
-    else:
-        lines.append("anomalies: none")
+    """The lines ``run_report`` wrote, then one line per warning and per anomaly."""
+    lines = bundle.lines + [f"warning: {note}" for note in bundle.warnings]
+    lines += [f"anomaly: {note}" for note in bundle.report.anomalies] or ["anomalies: none"]
     return "\n".join(lines) + "\n"
 
 
@@ -434,11 +423,6 @@ def main(argv=None) -> int:
         print(f"error: --{key} out of range: {overrides[key]}", file=_sys.stderr)
         return 2
 
-    # a valid file's exact coefficients can pass the int-to-str digit limit of
-    # Python >= 3.10.7; the limit stays on for parsing, which reads outside input
-    digit_limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
-    if digit_limit:
-        _sys.set_int_max_str_digits(0)
     try:
         bundle = run_report(parsed.system, options)
         bundle.warnings = parsed.warnings + bundle.warnings
@@ -449,9 +433,6 @@ def main(argv=None) -> int:
     except PwPeriodError as exc:
         print(f"analysis failure: {exc}", file=_sys.stderr)
         return 3
-    finally:
-        if digit_limit:
-            _sys.set_int_max_str_digits(digit_limit)
 
     _sys.stdout.write(rendered)
     if args.csv:

@@ -3,9 +3,10 @@
 A system is a pair of homogeneous nonlinearities: the upper Hamiltonian
 (x^2 + y^2)/2 + upper(x, y) drives the flow for y >= 0, the lower one for
 y < 0.  The flow is x' = -dH/dy, y' = dH/dx, counterclockwise rotation at
-lowest order.  Whether the origin is a center depends only on the two degree
-exponents and the two axis coefficients; ``classify`` decides it exactly
-over the rationals.
+lowest order.  Whether the origin is a center depends on the two degree
+exponents and the two axis coefficients, and for a quadratic side on whether
+its Hamiltonian is positive definite; ``classify`` decides it exactly over
+the rationals.
 
 Every radius bound here is an extremum of the circle profile
 g(theta) = p(cos theta, sin theta) of a side.  ``profile_min`` finds it in
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RootBracketFailure
-from .trigmoments import HomogeneousPoly
+from .trigmoments import HomogeneousPoly, rational_str
 
 SIGMA_CENTER = "SigmaCenter"
 NOT_CENTER = "NotCenter"
@@ -107,11 +108,20 @@ class AnnulusEstimate:
 def classify(sys: PiecewiseSystem) -> CenterClass:
     """Decide, exactly, whether the origin is a crossing center.
 
-    Both half orbits return to the axis at a radius fixed by the energy
-    match with the axis coefficient alone; the orbits close if and only if
-    the two return radii agree.  The five cases below enumerate exactly when
-    that happens.
+    A quadratic side c0 x^2 + c1 xy + c2 y^2 makes its half plane's
+    Hamiltonian a quadratic form; unless it is positive definite, no orbit
+    from the axis returns to it.  Otherwise both half orbits return at a
+    radius fixed by the energy match with the axis coefficient alone; the
+    orbits close if and only if the two return radii agree.  The five cases
+    below enumerate exactly when that happens.
     """
+    for side in SIDES:
+        p = sys.side(side)
+        c0, c1, c2 = p.coeffs if p.degree == 2 else (0, 0, 0)
+        # the quadratic part of H, ((1 + 2 c0) x^2 + 2 c1 xy + (1 + 2 c2) y^2)/2
+        if not (1 + 2 * c0 > 0 and (1 + 2 * c0) * (1 + 2 * c2) > c1 * c1):
+            return CenterClass(NOT_CENTER, None, f"the {side} Hamiltonian is a quadratic form "
+                               "that is not positive definite, so no orbit crosses back")
     n, m = sys.n, sys.m
     ap, am = sys.a0_plus, sys.a0_minus
     n_odd = n % 2 == 1
@@ -122,14 +132,14 @@ def classify(sys: PiecewiseSystem) -> CenterClass:
         if ap == 0:
             return CenterClass(SIGMA_CENTER, "II",
                                "upper exponent even with vanishing upper axis coefficient")
-        return CenterClass(NOT_CENTER, None,
-                           f"upper exponent even requires zero upper axis coefficient, got {ap}")
+        return CenterClass(NOT_CENTER, None, "upper exponent even requires zero upper axis "
+                           f"coefficient, got {rational_str(ap)}")
     if n_odd and not m_odd:
         if am == 0:
             return CenterClass(SIGMA_CENTER, "III",
                                "lower exponent even with vanishing lower axis coefficient")
-        return CenterClass(NOT_CENTER, None,
-                           f"lower exponent even requires zero lower axis coefficient, got {am}")
+        return CenterClass(NOT_CENTER, None, "lower exponent even requires zero lower axis "
+                           f"coefficient, got {rational_str(am)}")
     # both even
     if n != m:
         if ap == 0 and am == 0:
@@ -137,12 +147,12 @@ def classify(sys: PiecewiseSystem) -> CenterClass:
                                "both exponents even, distinct, both axis coefficients zero")
         return CenterClass(NOT_CENTER, None,
                            "distinct even exponents require both axis coefficients zero, "
-                           f"got {ap} and {am}")
+                           f"got {rational_str(ap)} and {rational_str(am)}")
     if ap == am:
         return CenterClass(SIGMA_CENTER, "V",
                            "equal even exponents with equal axis coefficients")
-    return CenterClass(NOT_CENTER, None,
-                       f"equal even exponents require equal axis coefficients, got {ap} != {am}")
+    return CenterClass(NOT_CENTER, None, "equal even exponents require equal axis coefficients, "
+                       f"got {rational_str(ap)} != {rational_str(am)}")
 
 
 def normalize(sys: PiecewiseSystem) -> PiecewiseSystem:

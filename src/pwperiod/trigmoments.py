@@ -22,6 +22,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, TypeVar, Union
@@ -42,6 +43,12 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__!s}")
+
+
+def rational_str(q: Fraction) -> str:
+    """``str(q)`` without the int-to-str digit limit, which ``Decimal`` does not apply."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 class TrigValue:
@@ -124,7 +131,7 @@ class TrigValue:
         return f"TrigValue({self._rat!r}, {self._pi!r})"
 
     def __str__(self) -> str:
-        return f"{self._rat} + {self._pi}*pi"
+        return f"{rational_str(self._rat)} + {rational_str(self._pi)}*pi"
 
 
 def _as_trig(value) -> TrigValue:

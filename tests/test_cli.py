@@ -1,4 +1,5 @@
 import math
+import re
 import sys as _sys
 import warnings
 from fractions import Fraction as F
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from pwperiod import (
     DegreeTooLow,
-    EscapedAnnulus,
     ParseError,
     PiecewiseSystem,
     QuadratureFailure,
@@ -29,7 +29,7 @@ from pwperiod.cli import (
 )
 from pwperiod.errors import DegreeMismatch
 
-from conftest import CENTER_SUITE, hp, zero
+from conftest import CENTER_SUITE, NONCENTER_SUITE, hp, zero
 
 GOOD = """\
 [upper]                # comments may trail anything
@@ -226,11 +226,16 @@ class TestRunReport:
             assert abs(t_num - 2 * math.pi) < 1e-11
             assert t_ser == 2 * math.pi
 
-    def test_no_orbits_raises(self):
-        # a quadratic side this negative swallows every crossing orbit
+    def test_saddle_quadratic_side_is_an_exact_noncenter(self):
+        # (-3/2) x^2 makes the upper Hamiltonian the saddle (-2x^2 + y^2)/2:
+        # no crossing orbit exists, and classify decides that exactly
         sys = PiecewiseSystem(hp(2, F(-3, 2), 0, 0), zero(2))
-        with pytest.raises(EscapedAnnulus):
-            run_report(sys, AnalysisOptions())
+        bundle = run_report(sys, AnalysisOptions())
+        assert bundle.report.classification.verdict == "NotCenter"
+        assert bundle.period_rows is None and bundle.gap_rows is None
+        assert bundle.warnings == [
+            "no crossing orbits exist near the origin, so no correspondence gaps"]
+        assert bundle.report.anomalies == []
 
     @pytest.mark.parametrize("name", ["x2y/y3", "x4/xy2", "x2y2/x2:2"])
     def test_crosscheck_is_cross_validate(self, name):
@@ -255,6 +260,16 @@ class TestRunReport:
             quad = quadrature_period(sys, "upper", r0) + quadrature_period(sys, "lower", r0)
             assert abs(dev - abs(quad - 2 * math.pi)) <= 1e-9
         assert rep.crosscheck <= 1e-9
+
+    def test_small_rmax_without_a_witness_is_an_anomaly(self):
+        # below r0 = 1e-10 the three probe periods agree to within the clocks'
+        # 1e-9 and lie within tol of 2 pi; the center is nonlinear, so that is
+        # a missing witness and not a constant period
+        sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))
+        rep = run_report(sys, AnalysisOptions(rmax=1e-10, samples=4)).report
+        assert rep.witness is None
+        assert len(rep.anomalies) == 1
+        assert rep.anomalies[0].startswith("no witness found: |period - 2*pi| <= 1e-06")
 
     def test_constant_profile_on_a_nonlinear_side_is_an_anomaly(self, monkeypatch):
         # cubic sides predict a varying profile, so a flat sampled one disagrees
@@ -299,8 +314,44 @@ class TestRender:
         bundle = run_report(sys, AnalysisOptions(rmax=1e-20, samples=8))
         text = render_report(bundle)
         assert "outside its range" not in text
-        assert "anomalies: none" in text
+        r_hi = bundle.period_rows[-1][0]
+        assert bundle.report.anomalies == [
+            f"no witness found: |period - 2*pi| <= 1e-06 at the probe radii "
+            f"r0 = {r_hi:.6g}, {r_hi / 4:.6g} and {r_hi / 16:.6g}"]
         assert bundle.report.crosscheck <= 1e-9
+
+    @pytest.mark.parametrize("name, prefixes", [
+        ("x2y/y3", ["classification", "  reason", "upper", "  annulus", "lower", "  annulus",
+                    "period series in r", "  constant", *["  r"] * 8, "first obstruction",
+                    "witness", "monotonicity", "series crosscheck, max |T_numeric - T_series|",
+                    "warning", "anomalies"]),
+        ("x3/y4", ["classification", "  reason", "upper", "  annulus", "lower", "  annulus",
+                   "correspondence gap table (r", *["  "] * 4, "warning", "anomalies"]),
+    ])
+    def test_report_line_order(self, name, prefixes):
+        # each line's text before its first ':' or digit, in report order; a
+        # new report line is added here on purpose
+        sys = CENTER_SUITE[name][0] if name in CENTER_SUITE else NONCENTER_SUITE[name]
+        text = render_report(run_report(sys, AnalysisOptions(samples=4)))
+        assert [re.match(r"[^:\d]*", line).group() for line in text.splitlines()] == prefixes
+
+    @pytest.mark.skipif(not hasattr(_sys, "get_int_max_str_digits"),
+                        reason="the interpreter has no int-to-str digit limit")
+    @pytest.mark.parametrize("upper, order", [
+        # an order-128 series whose coefficients pass 4300 digits
+        (hp(3, 0, F(1234567890123456789012345678901234567890123,
+                    9876543210987654321098765432109876543211), 0, 0), 128),
+        # a non-center whose axis coefficient has a 4301-digit denominator
+        (hp(3, F(int("3" * 4300), 10**4300), 1, 0, 0), 8),
+    ], ids=["series", "reason"])
+    def test_library_report_prints_past_the_int_digit_limit(self, upper, order):
+        limit = _sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the int-to-str digit limit is lifted")
+        sys = PiecewiseSystem(upper, hp(3, 0, 0, 0, 1))
+        text = render_report(run_report(sys, AnalysisOptions(order=order, samples=4)))
+        assert max(len(line) for line in text.splitlines()) > 4300
+        assert _sys.get_int_max_str_digits() == limit
 
     def test_quadratic_pair_renders_constant_anomaly(self):
         sys = PiecewiseSystem(hp(2, F(3, 2), 0, 0), zero(2))
@@ -343,11 +394,14 @@ class TestCsvAndMain:
         assert main([str(spec)]) == 2
         assert "parse error" in capsys.readouterr().err
 
-    def test_main_numerical_failure(self, tmp_path, capsys):
+    def test_main_saddle_quadratic_side_is_a_noncenter(self, tmp_path, capsys):
         spec = tmp_path / "sys.txt"
         spec.write_text("[upper]\ndegree=2\ncoeffs=-3/2,0,0\n[lower]\ndegree=2\ncoeffs=0,0,0\n")
-        assert main([str(spec)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert main([str(spec)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("classification: NotCenter\n") and err == ""
+        assert out.endswith("warning: no crossing orbits exist near the origin, "
+                            "so no correspondence gaps\nanomalies: none\n")
 
     def test_main_start_radius_below_underflow_is_a_numerical_failure(self, tmp_path,
                                                                       capsys):

@@ -62,6 +62,23 @@ class TestClassify:
         assert c.verdict == "SigmaCenter"
         assert c.case_tag == "I"
 
+    @pytest.mark.parametrize("coeffs, center", [
+        ((F(-3, 2), 0, 0), False),  # saddle (-2x^2 + y^2)/2
+        ((0, 1, 0), False),  # degenerate (x + y)^2/2
+        ((0, 0, F(-1, 2)), False),  # degenerate x^2/2
+        ((-1, 0, -1), False),  # negative definite
+        ((0, F(99, 100), 0), True),
+        ((F(3, 2), 0, 0), True),
+    ])
+    def test_quadratic_side_needs_a_positive_definite_form(self, coeffs, center):
+        # a quadratic side turns its half plane's Hamiltonian into a form;
+        # unless it is positive definite no orbit returns to the axis
+        for sys in (PiecewiseSystem(hp(2, *coeffs), hp(3, 0, 0, 0, 1)),
+                    PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(2, *coeffs))):
+            c = classify(sys)
+            assert c.is_center == center
+            assert ("not positive definite" in c.reason) == (not center)
+
 
 class TestNormalize:
     def test_identity_when_ordered(self):

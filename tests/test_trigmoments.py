@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -82,6 +83,21 @@ class TestTrigValue:
         assert str(v) == "1/2 + 3/4*pi"
         assert str(TRIG_ZERO) == "0 + 0*pi"
         assert float(TWO_PI) == 2 * math.pi
+
+    def test_str_prints_past_the_int_digit_limit(self):
+        # 5000 digits, past the interpreter's default limit of 4300
+        n = 7 ** 5916
+        value = TrigValue(F(-n, 3), F(1, n))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{F(-n, 3)} + {F(1, n)}*pi"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert len(expected) > 10000
+        assert str(value) == expected
 
     def test_hashable(self):
         assert len({TrigValue(1, 2), TrigValue(1, 2), TrigValue(2, 1)}) == 2
