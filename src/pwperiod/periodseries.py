@@ -10,14 +10,21 @@ The coefficients period_j(n) have a closed form, see
 :mod:`pwperiod.reversion`.  Substituting the axis relation
 h = r0 (1 + 2 a0 r0^(n-1))^(1/2) produces the series in the crossing radius
 r0: each power h^e is r0^e times a generalized binomial series in
-2 a0 r0^(n-1), whose exact coefficients C(e/2, k) (2 a0)^k are written
-down term by term.  The tests compare the result with the weighted moment
-sums of :class:`~pwperiod.reversion.CoefficientTable` and, at 60 digits,
-with the energy series evaluated at h(r0).
+2 a0 r0^(n-1).  For a0 = A/B each binomial weight C(e/2, k) (2 a0)^k is an
+integer over B^k k!, so every coefficient in r0 is one integer sum over a
+common denominator and one ``Fraction`` per part (:func:`_substitute`).
+The tests compare the result with the weighted moment sums of
+:class:`~pwperiod.reversion.CoefficientTable` and, at 60 digits, with the
+energy series evaluated at h(r0).
 
-Coefficients are :class:`~pwperiod.trigmoments.TrigValue`; the substitution
-never multiplies two pi-carrying values because the binomial weights are
-purely rational.
+Each polynomial's memo keeps its moments c_j (see
+:meth:`~pwperiod.trigmoments.HomogeneousPoly.half_moments`) and, per side,
+the radius coefficients computed so far, so a second radius series of the
+same side at the same or a lower jmax reads them back.
+
+Coefficients are :class:`~pwperiod.trigmoments.TrigValue`; on a half
+circle each c_j is rational or a rational multiple of pi, and the binomial
+weights are rational, so no pi^2 term arises.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .trigmoments import (
     TWO_PI,
     HomogeneousPoly,
     TrigValue,
-    profile_power_integral,
+    _on_range,
 )
 
 ENERGY = "energy_h"
@@ -129,20 +136,23 @@ def _require_series_side(p: HomogeneousPoly) -> None:
         )
 
 
+def _energy_coefficients(p: HomogeneousPoly, rng: str, jmax: int) -> dict[int, TrigValue]:
+    """tau_j = c_j * period_j(n) for j = 1..jmax, with c_j the moment of g^j."""
+    moments = p.half_moments(jmax)
+    n = p.degree - 1
+    return {j: _on_range(moments[j] * period_coefficient(j, n), j * p.degree, rng)
+            for j in range(1, jmax + 1)}
+
+
 def _energy_series(p: HomogeneousPoly, rng: str, jmax: int) -> PeriodSeries:
     """Period over the angular range ``rng`` as a series in h."""
     constant = TWO_PI if rng == FULL else PI
     if p.is_zero():
         return PeriodSeries(constant, {}, ENERGY, None)
     _require_series_side(p)
-    n = p.degree - 1
-    terms: dict[int, TrigValue] = {}
-    for j in range(1, jmax + 1):
-        c_j = profile_power_integral(p, j, rng)
-        if c_j.is_zero():
-            continue
-        terms[j * (n - 1)] = c_j * period_coefficient(j, n)
-    return PeriodSeries(constant, terms, ENERGY, jmax * (n - 1))
+    step = p.degree - 2
+    terms = {j * step: tau for j, tau in _energy_coefficients(p, rng, jmax).items()}
+    return PeriodSeries(constant, terms, ENERGY, jmax * step)
 
 
 def half_period_energy_series(p: HomogeneousPoly, side: str, jmax: int = 8) -> PeriodSeries:
@@ -162,31 +172,60 @@ def full_period_energy_series(p: HomogeneousPoly, jmax: int = 8) -> PeriodSeries
 def half_period_radius_series(p: HomogeneousPoly, side: str, jmax: int = 8) -> PeriodSeries:
     """Half period of one side as a series in the axis crossing radius r0.
 
-    With n + 1 the side degree, each energy term tau h^e of the series in h
-    becomes, through h = r0 (1 + 2 a0 r0^(n-1))^(1/2), the binomial series
+    With n + 1 the side degree, each energy term tau_j h^e, e = j(n-1), of
+    the series in h becomes, through h = r0 (1 + 2 a0 r0^(n-1))^(1/2), the
+    binomial series
 
-        tau h^e = sum_k  tau * C(e/2, k) (2 a0)^k * r0^(e + k(n-1)),
+        tau_j h^e = sum_k  tau_j * C(e/2, k) (2 a0)^k * r0^(e + k(n-1)),
 
-    kept through r0^(jmax(n-1)).  Each weight C(e/2, k) (2 a0)^k follows
-    from the one before by a rational factor, and the sum over k stops once
-    it is zero: for a0 = 0, or at k = e/2 + 1 for an even e.  All
-    arithmetic is exact.
+    kept through r0^(jmax(n-1)); see :func:`_substitute`.  The coefficients
+    are kept in the polynomial's memo per side, and a larger jmax computes
+    them afresh.
     """
-    energy = half_period_energy_series(p, side, jmax)
+    _angle_range(side, "transit")  # refuses any other name
     if p.is_zero():
         return PeriodSeries(PI, {}, RADIUS, None)
+    _require_series_side(p)
     step = p.degree - 2
-    order = jmax * step
-    two_a0 = 2 * p.axis_value
-    terms: dict[int, TrigValue] = {}
-    for e, tau in energy.items():
-        weight, k = Fraction(1), 0  # weight = C(e/2, k) * (2 a0)^k
-        while weight and e + k * step <= order:
-            exponent = e + k * step
-            terms[exponent] = terms.get(exponent, TRIG_ZERO) + tau * weight
-            weight *= Fraction(e - 2 * k, 2 * (k + 1)) * two_a0
-            k += 1
-    return PeriodSeries(PI, terms, RADIUS, order)
+    coeffs = p.memo(("radius", side), dict)
+    if jmax not in coeffs:
+        coeffs.update(_substitute(_energy_coefficients(p, side, jmax), p.axis_value, step, jmax))
+    return PeriodSeries(PI, {m * step: coeffs[m] for m in range(1, jmax + 1)},
+                        RADIUS, jmax * step)
+
+
+def _substitute(taus: dict[int, TrigValue], a0: Fraction, step: int,
+                jmax: int) -> dict[int, TrigValue]:
+    """Coefficient m of r0^(m * step), m = 1..jmax, from tau_j of h^(j * step).
+
+    For a0 = A/B the weight C(e/2, k) (2 a0)^k of r0^(e + k * step) in h^e
+    is the integer W_jk = prod_{i<k} (e - 2i) * A^k over B^k k!, a
+    denominator that depends on k alone; W_jk is zero from k = e/2 + 1 on
+    for an even e, and from k = 1 on for a0 = 0.  Over one common
+    denominator, U B^J J! with U the least common denominator of the tau_j
+    and J = jmax, each coefficient is one integer sum per part, and one
+    division.
+    """
+    a, b = a0.numerator, a0.denominator
+    common = math.lcm(*(part.denominator for j in range(1, jmax + 1)
+                        for part in (taus[j].rat_part, taus[j].pi_part)))
+    # scale[k] = B^(J-k) J!/k! turns 1/(B^k k!) into 1/(B^J J!)
+    scale = [1] * (jmax + 1)
+    for k in range(jmax - 1, -1, -1):
+        scale[k] = scale[k + 1] * b * (k + 1)
+    rat, pi = [0] * (jmax + 1), [0] * (jmax + 1)
+    for j in range(1, jmax + 1):
+        e = j * step
+        for acc, part in ((rat, taus[j].rat_part), (pi, taus[j].pi_part)):
+            term = part.numerator * (common // part.denominator)  # U tau_j W_j0
+            for k in range(jmax - j + 1):
+                if not term:
+                    break
+                acc[j + k] += term * scale[k]
+                term *= (e - 2 * k) * a
+    denominator = common * scale[0]
+    return {m: TrigValue(Fraction(rat[m], denominator), Fraction(pi[m], denominator))
+            for m in range(1, jmax + 1)}
 
 
 def _grid_step(p: HomogeneousPoly) -> int | None:
@@ -223,7 +262,7 @@ def combined_period_series(sys, jmax: int = 8) -> PeriodSeries:
         # ceil(order / s) * s can pass the order
         for e, c in series.items():
             if e <= order:
-                terms[e] = terms.get(e, TRIG_ZERO) + c
+                terms[e] = terms[e] + c if e in terms else c
     return PeriodSeries(upper.constant + lower.constant, terms, RADIUS, order)
 
 

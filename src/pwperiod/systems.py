@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from sys import float_info
 
 import numpy as np
 
@@ -216,13 +217,30 @@ def _profile_min(p: HomogeneousPoly, lo: float, hi: float) -> tuple[float, float
     for k in range(1, d + 1):
         q[k] -= (d - k + 1) * c[k - 1]
     candidates = {lo, hi, 0.5 * math.pi, 1.5 * math.pi}
-    for t in np.roots([float(v) for v in reversed(q)]).real:
+    for t in np.roots(_scaled_floats(q[::-1])).real:
         base = math.atan(t)
         candidates.update((base, base + math.pi, base + 2.0 * math.pi))
     thetas = sorted(t for t in candidates if lo <= t <= hi)
     values = [p.profile(t) for t in thetas]
     tie = min(values) + 4.0 * math.ulp(_coeff_scale(p))
     return next((v, t) for t, v in zip(thetas, values) if v <= tie)
+
+
+def _scaled_floats(coeffs: list[Fraction]) -> list[float]:
+    """Floats of the exact coeffs times the power of two that brings the largest near 1.
+
+    ``np.roots`` reads only ratios to the leading coefficient, which a power
+    of two leaves exact, so coefficients in the normal float range give
+    bit-identical roots; coefficients far outside it no longer overflow to
+    inf.  A scaled value below ``float_info.min`` becomes 0: it drops roots
+    near t = 0 or t = inf, whose angles are candidates already.
+    """
+    top = max(abs(v) for v in coeffs)
+    if not top:
+        return [0.0] * len(coeffs)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    scaled = [float(v * scale) for v in coeffs]
+    return [v if abs(v) >= float_info.min else 0.0 for v in scaled]
 
 
 def annulus_bound(sys: PiecewiseSystem, side: str, rng: str = "full") -> AnnulusEstimate:
@@ -277,13 +295,14 @@ def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndar
             "radius is outside the period annulus"
         )
     lo = np.zeros_like(g)
-    # start from the reversion series r / sqrt(h2) = 1 - u + (2d - 1) u^2 / 2
-    # + O(u^3), u = g h2^((d-2)/2), kept inside the bracket
-    u = g * root ** (d - 2)
-    r = np.clip(root * (1.0 - u + (d - 0.5) * u * u), lo, hi)
     last = hi
     done = np.zeros(g.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # start from the reversion series r / sqrt(h2) = 1 - u + (2d - 1) u^2 / 2
+        # + O(u^3), u = g h2^((d-2)/2), kept inside the bracket, which also
+        # bounds a u * u that overflows
+        u = g * root ** (d - 2)
+        r = np.clip(root * (1.0 - u + (d - 0.5) * u * u), lo, hi)
         for _ in range(100):
             rp = r ** (d - 2)
             value = r * r + 2.0 * g * rp * r * r - h2

@@ -6,6 +6,18 @@ only ever adds such values and scales them by rationals, so a pi^2 term can
 never legitimately appear; ``TrigValue`` enforces this by refusing to multiply
 two values that both carry a pi part.
 
+The moments of a profile's powers run on integers.  With p = P/L for an
+integer form P of degree d, the integral of g^j over [0, pi] is
+
+    sum over i = D (mod 2) of  P^j_i (D - i - 1)!! (i - 1)!!  /  (L^j D!!)
+
+times pi for even D = j*d, or times 2 for odd D, since only cos^(D-i) sin^i
+with D - i even survives there.  So each moment is one integer sum over one
+double-factorial table and one ``Fraction``; P^j comes from P^(j-1) by
+integer convolution, and a polynomial keeps its moments and the last power
+only (:meth:`HomogeneousPoly.half_moments`).  The lower half and the full
+circle follow from the upper half by parity (:func:`profile_power_integral`).
+
 Float evaluation is separate: ``HomogeneousPoly`` evaluates p, dp/dx and
 dp/dy through generated forms.  For each float coefficient tuple one
 straight-line Python function is written and compiled once, then cached:
@@ -228,21 +240,56 @@ class HomogeneousPoly:
         """Restriction to the unit circle, p(cos(theta), sin(theta))."""
         return self(math.cos(theta), math.sin(theta))
 
+    def _integer_coeffs(self) -> tuple[tuple[int, ...], int]:
+        """Integer coefficients P and the positive integer L with p = P / L."""
+        scale = math.lcm(*(c.denominator for c in self._coeffs))
+        return tuple(c.numerator * (scale // c.denominator) for c in self._coeffs), scale
+
     def power(self, j: int) -> tuple[Fraction, ...]:
         """Coefficients of p^j in the same x^(D-i) y^i layout, D = j*degree.
 
-        Each power is kept in ``memo``; p^j is p^k times p, j - k times over,
-        from the highest power p^k already held.
+        P^j is built by integer convolution and divided by L^j once; no
+        power is kept.
         """
         if j < 0:
             raise ValueError("power must be nonnegative")
-        k = j
-        while k and ("power", k) not in self._memo:
-            k -= 1
-        out = self._memo[("power", k)] if k else (Fraction(1),)
-        for i in range(k + 1, j + 1):
-            out = self._memo[("power", i)] = _convolve(out, self._coeffs)
-        return out
+        coeffs, scale = self._integer_coeffs()
+        out: Sequence[int] = (1,)
+        for _ in range(j):
+            out = _times(out, coeffs)
+        return tuple(Fraction(c, scale ** j) for c in out)
+
+    def half_moments(self, jmax: int) -> tuple[Fraction, ...]:
+        """m_0, ..., m_jmax: the circle moments of p^j as one rational each.
+
+        With D = j*degree, the integral of p(cos t, sin t)^j over [0, pi] is
+        m_j * pi when D is even and m_j when D is odd; the other ranges
+        follow by parity (:func:`profile_power_integral`).  The list and
+        the last integer power P^j behind it are kept in ``memo``, and a
+        larger jmax extends them, one convolution per step.
+        """
+        held, last = self._memo.get("moments", ((Fraction(1),), (1,)))
+        if len(held) > jmax:
+            return held
+        coeffs, scale = self._integer_coeffs()
+        d = self._degree
+        # dfac[k] = (k - 1)!!, so that (D - i - 1)!! (i - 1)!! / D!! is
+        # dfac[D - i] * dfac[i] / dfac[D + 1]
+        dfac = [1, 1]
+        for k in range(2, jmax * d + 2):
+            dfac.append((k - 1) * dfac[k - 2])
+        moments = list(held)
+        for j in range(len(held), jmax + 1):
+            last = _times(last, coeffs)
+            big_d = j * d
+            # only cos^(D-i) sin^i with D - i even survives on [0, pi]: the
+            # integral is pi R for even i and 2 R for odd i
+            total = sum(last[i] * dfac[i] * dfac[big_d - i]
+                        for i in range(big_d % 2, big_d + 1, 2) if last[i])
+            moments.append(Fraction(total << (big_d % 2), scale ** j * dfac[big_d + 1]))
+        held = tuple(moments)
+        self._memo["moments"] = (held, tuple(last))
+        return held
 
     def partial_x_coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients of dp/dx, homogeneous of degree d-1."""
@@ -304,15 +351,15 @@ def _compiled_form(coeffs: tuple[float, ...]) -> Callable:
     return namespace["form"]
 
 
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer convolution: the coefficients of the product of two forms."""
+    out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(k, bk) for k, bk in enumerate(b) if bk]
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return tuple(out)
+        if ai:
+            for k, bk in b_terms:
+                out[i + k] += ai * bk
+    return out
 
 
 def _double_factorial(k: int) -> int:
@@ -354,17 +401,28 @@ def trig_moment(a: int, b: int, rng: str = FULL) -> TrigValue:
 
 
 def profile_power_integral(p: HomogeneousPoly, j: int, rng: str = FULL) -> TrigValue:
-    """Exact integral of p(cos t, sin t)^j over the requested range."""
+    """Exact integral of p(cos t, sin t)^j over the requested range.
+
+    The upper-half moment comes from :meth:`HomogeneousPoly.half_moments`;
+    the lower half and the full circle follow from it by the parity of
+    j * degree.
+    """
     _check_range(rng)
     if j < 0:
         raise ValueError("power must be nonnegative")
-    coeffs = p.power(j)
-    big_d = j * p.degree
-    total = TRIG_ZERO
-    for i, c in enumerate(coeffs):
-        if c:
-            total = total + trig_moment(big_d - i, i, rng) * c
-    return total
+    return _on_range(p.half_moments(j)[j], j * p.degree, rng)
+
+
+def _on_range(m: Fraction, big_d: int, rng: str) -> TrigValue:
+    """The integral over ``rng`` of a form of degree ``big_d`` whose half moment is m.
+
+    For even D the integrand is pi-periodic, so the upper and lower values
+    are m * pi and the full one 2 m * pi; for odd D it changes sign under
+    t -> t + pi, so the upper value is m, the lower -m and the full 0.
+    """
+    if big_d % 2:
+        return TrigValue({UPPER: m, LOWER: -m}.get(rng, 0))
+    return TrigValue(0, 2 * m if rng == FULL else m)
 
 
 # symbol-style alias for the same operation

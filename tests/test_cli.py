@@ -440,6 +440,34 @@ class TestCsvAndMain:
         assert len(err) == 1 and err[0].startswith("numerical failure: "), err
         assert "event location failed" in err[0]
 
+    def test_main_start_guess_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
+        # the level-curve start guess squares u = g h2^((d-2)/2), which
+        # overflows here before np.clip bounds it
+        spec = tmp_path / "sys.txt"
+        spec.write_text("[upper]\ndegree = 6\ncoeffs = 1, 3, 0, 0, 0, 1e10, 1e171\n"
+                        "[lower]\ndegree = 2\ncoeffs = 1/5, 0, -1e-205\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(spec), "--samples", "2", "--order", "6", "--rmax", "1e-13",
+                         "--tol", "1e-6"])
+        assert code == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+
+    @pytest.mark.parametrize("coeffs", ["1e200, 0, 0, 1e-200", "1e300, 0, 1e-300, 0",
+                                        "1e160, 1e-160, 0, 0"])
+    def test_main_profile_roots_of_widely_spread_coefficients(self, tmp_path, capsys, coeffs):
+        # the float coefficients of q(1, t) used to span more than the float
+        # range, and np.roots raised LinAlgError on the inf ratios
+        spec = tmp_path / "sys.txt"
+        spec.write_text(f"[upper]\ndegree = 3\ncoeffs = {coeffs}\n"
+                        "[lower]\ndegree = 3\ncoeffs = 0, 0, 0, 1\n")
+        assert main([str(spec)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: start radius "), err
+        assert "is too small" in err[0]
+
     def test_main_series_beyond_float_range_is_an_anomaly(self, tmp_path, capsys):
         # x^2 y^2 / y^4 has unbounded annuli; at r0 near 1e100 the powers of
         # the series overflow while the ODE clock still measures T ~ 1e-50

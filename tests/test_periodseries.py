@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -282,3 +283,55 @@ def test_jmax_for_order_is_complete_through_the_order():
             assert series.truncation_order == order, (name, order)
             assert series == by_jmax[jmax + 1].truncate(order), (name, order)
     assert jmax_for_order(PiecewiseSystem(zero(3), zero(4)), 5) == 1
+
+
+def _fresh(sys):
+    """The same system on new polynomials, whose memos are empty."""
+    return PiecewiseSystem(*(HomogeneousPoly(p.degree, p.coeffs) for p in (sys.upper, sys.lower)))
+
+
+def _series_line(name, jmax, series):
+    def q(f):  # hex: no int-to-str digit limit
+        return f"{f.numerator:x}/{f.denominator:x}"
+
+    terms = ";".join(f"{e}:{q(c.rat_part)}:{q(c.pi_part)}" for e, c in series.items())
+    constant = f"{q(series.constant.rat_part)}:{q(series.constant.pi_part)}"
+    return f"{name}|{jmax}|{series.truncation_order}|{constant}|{terms}\n"
+
+
+SERIES_CENTERS = sorted(name for name, (s, _) in CENTER_SUITE.items()
+                        if s.upper.degree > 2 and s.lower.degree > 2)
+# SHA-256 of the lines below, computed with the Fraction-per-term series
+# (convolution of Fraction powers, one TrigValue per moment and per
+# binomial term) that the integer one replaced
+SERIES_DIGEST = "34a1c655ee492362a19bf47eb2548bc37f251d607b0928e4d70bf59cc76e3baa"
+
+
+def test_combined_series_match_the_frozen_digest():
+    # the 14 centers without a quadratic side at jmax 1-24, each jmax on the
+    # same fresh system so the memo grows step by step, then two at 128
+    digest = hashlib.sha256()
+    for name in SERIES_CENTERS:
+        sys = _fresh(CENTER_SUITE[name][0])
+        for jmax in range(1, 25):
+            digest.update(_series_line(name, jmax, combined_period_series(sys, jmax)).encode())
+    for name in ("x3-x2y/x3+y3", "x2y/y3"):
+        series = combined_period_series(_fresh(CENTER_SUITE[name][0]), 128)
+        digest.update(_series_line(name, 128, series).encode())
+    assert len(SERIES_CENTERS) == 14
+    assert digest.hexdigest() == SERIES_DIGEST
+
+
+@pytest.mark.parametrize("name", SERIES_CENTERS)
+def test_series_read_back_from_the_memo_equal_fresh_ones(name):
+    # after one series at jmax 12, every lower jmax comes from the memo
+    sys = _fresh(CENTER_SUITE[name][0])
+    combined_period_series(sys, 12)
+    full_period_energy_series(sys.upper, 12)
+    for jmax in range(1, 12):
+        fresh = _fresh(sys)
+        assert combined_period_series(sys, jmax) == combined_period_series(fresh, jmax)
+        for side in ("upper", "lower"):
+            p, q = sys.side(side), fresh.side(side)
+            assert half_period_energy_series(p, side, jmax) == half_period_energy_series(q, side, jmax)
+        assert full_period_energy_series(sys.upper, jmax) == full_period_energy_series(fresh.upper, jmax)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -17,7 +18,7 @@ from pwperiod import (
     start_radius_cap,
 )
 from pwperiod.flow import _make_field
-from pwperiod.systems import profile_min
+from pwperiod.systems import _scaled_floats, profile_min
 
 from conftest import CENTER_SUITE, NONCENTER_SUITE, hp, zero
 
@@ -175,6 +176,27 @@ class TestProfileMin:
         value, theta = profile_min(hp(4, 0, 0, 0, 0, F(-1, 3)), 0.0, 2 * math.pi)
         assert value == -1 / 3
         assert theta == math.pi / 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_root_input_is_the_floats_times_one_power_of_two(self, seed):
+        # np.roots reads ratios to the leading coefficient only, so inputs in
+        # the normal float range give the roots of the unscaled floats
+        rng = random.Random(seed)
+        for _ in range(100):
+            cs = [F(rng.randint(-9, 9), rng.randint(1, 9)) * F(10) ** rng.randint(-150, 150)
+                  for _ in range(rng.randint(2, 8))]
+            plain, scaled = [float(c) for c in cs], _scaled_floats(cs)
+            top = max(map(abs, scaled))
+            if not top:
+                assert not any(cs)
+                continue
+            assert 0.5 <= top < 2.0
+            shift = math.frexp(top)[1] - math.frexp(max(map(abs, plain)))[1]
+            assert scaled == [math.ldexp(v, shift) for v in plain]
+
+    def test_root_input_drops_what_leaves_the_float_range(self):
+        assert _scaled_floats([F(10) ** 200, 0, 0, F(10) ** -200]) == [
+            float(F(10) ** 200 / 2 ** 664), 0.0, 0.0, 0.0]
 
 
 small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -31,7 +31,7 @@ from pwperiod import (
 from pwperiod.systems import annulus_bound
 from pwperiod.trigmoments import _compiled_form
 
-from conftest import hp
+from conftest import CENTER_SUITE, NONCENTER_SUITE, hp
 
 
 def test_as_fraction_accepts_exact_inputs():
@@ -202,27 +202,23 @@ class TestHomogeneousPoly:
         assert math.isclose(val, p(x, y) ** 3, rel_tol=1e-13)
         assert p.power(0) == (F(1),)
 
-    def test_power_builds_on_the_highest_held_power(self, monkeypatch):
-        convolve = pwperiod.trigmoments._convolve
+    def test_moments_far_beyond_the_recursion_limit_keep_one_power(self, monkeypatch):
+        # c_j up to j = 2000 is a loop of 2000 integer convolutions, and the
+        # memo keeps the moments and the last power x^4000 only
+        times = pwperiod.trigmoments._times
         calls = []
-        monkeypatch.setattr(pwperiod.trigmoments, "_convolve",
-                            lambda a, b: calls.append(len(a)) or convolve(a, b))
-        p = hp(3, 1, 0, -2, 1)
-        assert p.power(3) == hp(3, 1, 0, -2, 1).power(3)
-        calls.clear()
-        assert p.power(2) == hp(3, 1, 0, -2, 1).power(2) and calls == [1, 4]
-        # p^5 = p^3 * p * p: one convolution per step from the held p^3
-        calls.clear()
-        fifth = p.power(5)
-        assert calls == [10, 13]
-        assert fifth == hp(3, 1, 0, -2, 1).power(5)
-
-    def test_power_far_beyond_the_recursion_limit(self, monkeypatch):
-        # a loop, not recursion: 2000 steps from a fresh polynomial, each one
-        # call of the convolution (stubbed here to keep the test fast)
-        calls = []
-        monkeypatch.setattr(pwperiod.trigmoments, "_convolve", lambda a, b: calls.append(1) or a)
-        assert hp(2, 1, 0, 0).power(2000) == (F(1),) and len(calls) == 2000
+        monkeypatch.setattr(pwperiod.trigmoments, "_times",
+                            lambda a, b: calls.append(1) or times(a, b))
+        p = hp(2, 1, 0, 0)
+        c = profile_power_integral(p, 2000, FULL)
+        assert len(calls) == 2000
+        # the full moment of cos^4000 is 2 pi 3999!!/4000!!
+        assert c == TrigValue(0, 2 * F(math.prod(range(1, 4000, 2)), math.prod(range(2, 4001, 2))))
+        assert list(p._memo) == ["moments"]
+        moments, last = p._memo["moments"]
+        assert len(moments) == 2001 and last == (1,) + (0,) * 4000
+        assert profile_power_integral(p, 1999, UPPER) == TrigValue(0, moments[1999])
+        assert len(calls) == 2000
 
     def test_partials_are_exact(self):
         p = hp(4, 1, 2, 3, 4, 5)
@@ -270,6 +266,53 @@ def test_profile_power_integral_known():
     assert profile_power_integral(x2y, 0, FULL) == TWO_PI
     assert profile_power_integral(x2y, 0, UPPER) == PI
     assert profile_power_integral(HomogeneousPoly.zero(3), 2, FULL) == TRIG_ZERO
+
+
+def _times_fractions(a, b):
+    """Fraction convolution: the route the integer moments replaced."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for k, bk in enumerate(b):
+            out[i + k] += ai * bk
+    return out
+
+
+def _oracle_sides():
+    systems = {name: s for name, (s, _) in CENTER_SUITE.items()} | NONCENTER_SUITE
+    sides = {
+        "dense-quintic": hp(5, F(1, 2), F(-2, 3), 3, F(5, 7), F(-1, 4), F(9, 11)),
+        "1e400x2": HomogeneousPoly(2, [F(10**400), 0, 0]),
+        "1e400x2y": HomogeneousPoly(3, [0, F(10**400), 0, 0]),
+        "1e308x2y": hp(3, 0, F(10**308), 0, 0),
+    }
+    for name, s in systems.items():
+        for side in ("upper", "lower"):
+            if s.side(side) not in sides.values():
+                sides[f"{name}-{side}"] = s.side(side)
+    return sides
+
+
+ORACLE_SIDES = _oracle_sides()
+
+
+@pytest.mark.parametrize("name", ORACLE_SIDES)
+def test_profile_power_integral_matches_the_fraction_oracle(name):
+    # c_j as the sum of trig_moment over the Fraction coefficients of p^j,
+    # on every range; a half-range c_j is rational for odd j*d, a multiple
+    # of pi for even j*d
+    p = ORACLE_SIDES[name]
+    power = [F(1)]
+    for j in range(31):
+        big_d = j * p.degree
+        for rng in (FULL, UPPER, LOWER):
+            want = TRIG_ZERO
+            for i, c in enumerate(power):
+                if c:
+                    want = want + trig_moment(big_d - i, i, rng) * c
+            got = profile_power_integral(p, j, rng)
+            assert got == want, (j, rng)
+            assert (got.pi_part if big_d % 2 else got.rat_part) == 0
+        power = _times_fractions(power, p.coeffs)
 
 
 def test_profile_power_integral_against_quadrature():
