@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisNotMet, NotACenter
-from .flow import half_orbit, numeric_period, quadrature_period, smooth_period
+from .flow import HalfOrbitResult, half_orbit, quadrature_period, smooth_period
 from .periodseries import PeriodSeries, combined_period_series, jmax_for_order
 from .systems import (
     LOWER_SIDE,
@@ -106,8 +106,7 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
     if r_max is not None:
         r_hi = min(r_hi, r_max)
     probes = [r_hi, r_hi / 4.0, r_hi / 16.0]
-    transits = [(half_orbit(sys, UPPER_SIDE, r), half_orbit(sys, LOWER_SIDE, r))
-                for r in probes]
+    transits = _transits(sys, probes)
     out = WitnessSearch(witness=None, evaluations=len(probes))
     if any(t.degraded for pair in transits for t in pair):
         drift = max(t.energy_drift for pair in transits for t in pair)
@@ -139,19 +138,32 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
     return out
 
 
-def crosscheck_rows(sys: PiecewiseSystem, series: PeriodSeries | None,
-                    grid) -> list[tuple[float, float, float, float]]:
-    """Rows (r0, T_numeric, T_series, deviation) over the grid.
+def _transits(sys: PiecewiseSystem, radii) -> list[tuple[HalfOrbitResult, HalfOrbitResult]]:
+    """The upper and lower ODE transits from each radius; their times sum to the period."""
+    return [(half_orbit(sys, UPPER_SIDE, float(r)), half_orbit(sys, LOWER_SIDE, float(r)))
+            for r in radii]
 
-    Without a series the last two columns are nan.
+
+def crosscheck_rows(sys: PiecewiseSystem, series: PeriodSeries | None, grid
+                    ) -> tuple[list[tuple[float, float, float, float]], list[float]]:
+    """Rows (r0, T_numeric, T_series, deviation) over the grid, and degraded rows' drifts.
+
+    T_numeric sums the two transit times, as ``numeric_period`` does.  A
+    row with a degraded transit keeps its period, and the larger energy
+    drift of its transits is listed, so the caller can flag it.  Without a
+    series the last two columns are nan.
     """
-    rows = []
-    for r0 in grid:
-        r0 = float(r0)
-        t_num = numeric_period(sys, r0)
+    verdict = classify(sys)
+    if not verdict.is_center:
+        raise NotACenter(f"periods need a center: {verdict.reason}")
+    rows, drifts = [], []
+    for r0, (up, lo) in zip(grid, _transits(sys, grid)):
+        r0, t_num = float(r0), up.time + lo.time
         t_ser = series(r0) if series is not None else math.nan
         rows.append((r0, t_num, t_ser, abs(t_num - t_ser)))
-    return rows
+        if up.degraded or lo.degraded:
+            drifts.append(max(up.energy_drift, lo.energy_drift))
+    return rows, drifts
 
 
 def worst_deviation(rows) -> float:
@@ -172,7 +184,7 @@ def cross_validate(sys: PiecewiseSystem, order: int, grid) -> float:
     which the acceptance tests check by halving the grid.
     """
     series = combined_period_series(sys, jmax=jmax_for_order(sys, order)).truncate(order)
-    return worst_deviation(crosscheck_rows(sys, series, grid))
+    return worst_deviation(crosscheck_rows(sys, series, grid)[0])
 
 
 def monotonicity_profile(sys: PiecewiseSystem, side: str) -> str:

@@ -344,7 +344,11 @@ def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundl
                 f"{side} profile {tag} disagrees with the predicted {sorted(allowed)}")
     lines.append(f"monotonicity: {', '.join(tags)}")
 
-    rows = crosscheck_rows(system, series, grid)
+    rows, drifts = crosscheck_rows(system, series, grid)
+    if drifts:
+        anomalies.append(
+            f"ODE clock degraded on {len(drifts)} of {len(rows)} crosscheck rows (energy drift "
+            f"up to {max(drifts):.3g}); their T_numeric is not trustworthy")
     worst = None
     if series is not None:
         worst = worst_deviation(rows)

@@ -51,6 +51,7 @@ from .systems import (
     annulus_bound,
     classify,
     profile_min,
+    start_radius_cap,
 )
 from .trigmoments import HomogeneousPoly
 
@@ -67,6 +68,7 @@ __all__ = [
     "numeric_period",
     "quadrature_period",
     "smooth_period",
+    "annulus_bound",  # unused here; perfbench's tracer test reads this binding
 ]
 
 
@@ -82,14 +84,14 @@ class HalfOrbitResult:
 
 
 def _check_start(sys: PiecewiseSystem, side: str, r0: float, rng: str) -> None:
-    """Refuse a start radius the side's annulus over ``rng`` does not hold.
+    """Refuse a start radius whose orbit piece leaves the side's annulus over ``rng``.
 
     A crossing orbit's piece passes only the side's own half circle
     ("transit"); a smooth sub-system orbit passes the whole circle ("full").
-    The bound is ``annulus_bound``'s, so an empty quadratic annulus refuses
-    every start.  A start whose square underflows (r0 below about 1.5e-154)
-    is refused too: its energy, and the energy drift measured against it,
-    have no precision left.
+    The limit is ``start_radius_cap``, the one reach check of all three
+    clocks, so an empty quadratic annulus (cap 0) refuses every start.  A
+    start whose square underflows (r0 below about 1.5e-154) is refused too:
+    its energy, and the drift measured against it, have no precision left.
     """
     if not 0.0 < r0 < math.inf:
         raise ValueError("start radius must be positive and finite")
@@ -97,11 +99,9 @@ def _check_start(sys: PiecewiseSystem, side: str, r0: float, rng: str) -> None:
         raise StepFailure(
             f"start radius {r0} is too small: its square underflows the float range"
         )
-    bound = annulus_bound(sys, side, rng).r_star
-    if r0 >= bound:
-        raise EscapedAnnulus(
-            f"start radius {r0} is outside the {side} annulus bound {bound:.6g}"
-        )
+    cap = start_radius_cap(sys, side, rng)
+    if r0 >= cap:
+        raise EscapedAnnulus(f"start radius {r0} is not below the {side} start cap {cap:.6g}")
 
 
 def _make_field(p: HomogeneousPoly, reverse: bool) -> Callable:
@@ -253,7 +253,8 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
     The absolute tolerance is ATOL capped at RTOL r_start, so the relative
     accuracy holds at any start radius.  The axis crossing is event-located
     and then polished with a Newton correction on the true field, leaving
-    |y| at roundoff level.
+    |y| at roundoff level.  The start cap has decided, before integrating,
+    that the orbit reaches the opposite ray.
     """
     _check_start(sys, side, r_start, "transit")
     p = sys.side(side)
@@ -271,29 +272,19 @@ def half_orbit(sys: PiecewiseSystem, side: str, r_start: float) -> HalfOrbitResu
     crossing.terminal = True
     crossing.direction = direction
 
-    escape_radius = 25.0 * (r_start + 1.0)
-
-    def escape(t, s):
-        return s[0] * s[0] + s[1] * s[1] - escape_radius * escape_radius
-
-    escape.terminal = True
-    escape.direction = 1.0
-
     try:
         # an overflowing field leaves inf or nan in the stages, and scipy's
         # interpolant warns on them; the checks below turn them into errors
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_ivp(rhs, (0.0, MAX_TIME), (r_start, 0.0), method=_FloatDOP853,
                             rtol=RTOL, atol=min(ATOL, RTOL * r_start),
-                            events=(crossing, escape),
+                            events=crossing,
                             dense_output=False, field=field)
     except ValueError as exc:
         # scipy's event root search refuses a NaN on the step's interpolant
         raise StepFailure(f"event location failed on the {side} side: {exc}") from exc
     if sol.status == -1:
         raise StepFailure(f"integrator failed on the {side} side: {sol.message}")
-    if len(sol.t_events[1]):
-        raise EscapedAnnulus(f"{side} orbit escaped beyond radius {escape_radius:.3g}")
     if not len(sol.t_events[0]):
         raise EscapedAnnulus(
             f"{side} orbit produced no axis crossing within time {MAX_TIME}"

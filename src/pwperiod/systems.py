@@ -337,8 +337,15 @@ def start_radius_cap(sys: PiecewiseSystem, side: str, rng: str = "transit") -> f
     profile is a0.  ``_level_radii`` solves it.  When the annulus is
     unbounded (inf) or empty (0, a quadratic side), the cap is the bound
     itself.  ``rng`` is "transit" for the side's own half circle or "full"
-    for the whole circle (smooth sub-system orbits).
+    for the whole circle (smooth sub-system orbits).  Computed once per
+    polynomial and range.
     """
+    p = sys.side(side)
+    key = ("start_radius_cap", *_angle_range(side, rng))
+    return p.memo(key, lambda: _start_radius_cap(sys, side, rng))
+
+
+def _start_radius_cap(sys: PiecewiseSystem, side: str, rng: str) -> float:
     p = sys.side(side)
     d = p.degree
     rc = annulus_bound(sys, side, rng).r_star

@@ -22,7 +22,9 @@ from pwperiod.analysis import (
     INCREASING_UNBOUNDED,
     MIN_CRITICAL,
     UNDETERMINED,
+    crosscheck_rows,
 )
+from pwperiod.flow import DRIFT_BOUND
 
 from conftest import CENTER_SUITE, hp, zero
 
@@ -117,6 +119,22 @@ class TestCrossValidate:
         series = combined_period_series(sys, jmax=4)
         assert math.isnan(series(1e100)) and math.isfinite(series(0.1))
         assert cross_validate(sys, 8, [0.1, 1e100]) == math.inf
+
+    def test_rows_list_the_drift_of_each_degraded_row(self):
+        # x^2 y^2 over y^4 at 10^150: every transit behind these rows drifts
+        # past the bound, the upper one at the largest radius by 5.6e18; each
+        # row still sums its two transits, bit for bit as numeric_period does
+        big = 10**150
+        sys = PiecewiseSystem(hp(4, 0, 0, big, 0, 0), hp(4, 0, 0, 0, 0, big))
+        grid = [6.55e-27, 1.64e-27, 4.09e-28]
+        rows, drifts = crosscheck_rows(sys, None, grid)
+        assert [row[:2] for row in rows] == [(r0, numeric_period(sys, r0)) for r0 in grid]
+        assert len(drifts) == 3 and min(drifts) > DRIFT_BOUND and max(drifts) > 1e18
+        assert crosscheck_rows(X2Y_Y3, None, grid)[1] == []
+
+    def test_rows_need_a_center(self):
+        with pytest.raises(NotACenter):
+            crosscheck_rows(PiecewiseSystem(hp(3, 1, 0, 0, 0), hp(3, 0, 0, 0, 1)), None, [0.1])
 
 
 class TestMonotonicityProfile:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys as _sys
@@ -16,7 +17,7 @@ from pwperiod import (
     cross_validate,
     quadrature_period,
 )
-from pwperiod import cli
+from pwperiod import analysis, cli
 from pwperiod.cli import (
     CSV_HEADER,
     AnalysisOptions,
@@ -279,6 +280,28 @@ class TestRunReport:
         assert [a for a in anomalies if "profile constant disagrees" in a] == [
             "upper profile constant disagrees with the predicted ['increasing_unbounded']",
             "lower profile constant disagrees with the predicted ['increasing_unbounded']"]
+
+    def test_degraded_crosscheck_rows_are_one_anomaly(self, monkeypatch):
+        # two rows whose lower transit drifts past the bound keep their four
+        # columns and values, and add one anomaly with the count and worst drift
+        sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))
+        options = AnalysisOptions(samples=4, rmax=0.1, seed=1)
+        clean = run_report(sys, options)
+        marked = {row[0]: drift for row, drift in zip(clean.period_rows, (1e-6, 3e-7))}
+        half_orbit = analysis.half_orbit
+
+        def drifting(system, side, r0):
+            res = half_orbit(system, side, r0)
+            if side == "lower" and r0 in marked:
+                return dataclasses.replace(res, energy_drift=marked[r0], degraded=True)
+            return res
+
+        monkeypatch.setattr(analysis, "half_orbit", drifting)
+        bundle = run_report(sys, options)
+        assert bundle.period_rows == clean.period_rows
+        assert bundle.report.anomalies == clean.report.anomalies + [
+            "ODE clock degraded on 2 of 4 crosscheck rows (energy drift up to 1e-06); "
+            "their T_numeric is not trustworthy"]
 
     def test_same_seed_same_rows(self):
         sys = PiecewiseSystem(hp(3, 0, 1, 0, 0), hp(3, 0, 0, 0, 1))

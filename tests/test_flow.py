@@ -77,9 +77,20 @@ class TestHalfOrbit:
             half_orbit(X3_Y3, "upper", 0.5)  # beyond r* = 1/3, pre-check
 
     def test_escape_between_cap_and_bound(self):
-        # 1/6 < 0.25 < 1/3: passes the pre-check but the level curve opens up
-        with pytest.raises(EscapedAnnulus):
-            half_orbit(X3_Y3, "upper", 0.25)
+        # 1/6 < 0.2 < 1/3: inside the annulus bound of x^3 but beyond its start
+        # cap, so both transit clocks refuse the start before they run
+        for clock in (half_orbit, quadrature_period):
+            with pytest.raises(EscapedAnnulus, match="start cap 0.166667"):
+                clock(X3_Y3, "upper", 0.2)
+
+    def test_start_just_below_the_cap_fails_instead_of_returning(self):
+        # at the cap the orbit runs into the saddle (-1/3, 0) of x^3; 1e-14
+        # below it neither clock can follow the orbit, and neither returns a time
+        r0 = start_radius_cap(X3_Y3, "upper") * (1.0 - 1e-14)
+        with pytest.raises((EscapedAnnulus, StepFailure)):
+            half_orbit(X3_Y3, "upper", r0)
+        with pytest.raises(QuadratureFailure):
+            quadrature_period(X3_Y3, "upper", r0)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
@@ -105,7 +116,7 @@ class TestHalfOrbit:
     def test_field_overflow_at_the_start_is_a_step_failure(self):
         # at r0 = 1e200 the field overflows one step from the start, so
         # scipy's initial step is NaN; the float step fails it instead of
-        # looping, and the escape radius squares to inf, not OverflowError
+        # looping
         system = CENTER_SUITE["x2y2/y4"][0]
         for side in ("upper", "lower"):
             with np.errstate(all="ignore"), pytest.raises(StepFailure, match="integrator failed"):
@@ -204,9 +215,13 @@ class TestQuadratureRoute:
         assert abs(ode - quadrature_period(sys, "upper", r0)) < 1e-9
 
     def test_level_curve_gap_raises_bracket_failure(self):
-        # inside r* but beyond the start cap: no level radius at theta = pi
-        with pytest.raises(RootBracketFailure):
+        # inside r* but beyond the start cap: no level radius at theta = pi.
+        # The start check refuses it first, so the bracket check is called
+        # directly, with the start's energy r0^2 + 2 r0^3 and g(pi) = -1
+        with pytest.raises(EscapedAnnulus, match="start cap"):
             quadrature_period(X3_Y3, "upper", 0.2)
+        with pytest.raises(RootBracketFailure, match="does not reach angle 3.14"):
+            _level_radii(np.array([-1.0]), 3, 0.2 ** 2 + 2 * 0.2 ** 3, np.array([math.pi]))
 
     def test_unresolved_peak_raises_instead_of_returning(self):
         # 1e-9 below the start cap the orbit grazes the fold of the level
@@ -364,8 +379,8 @@ def _ode_time(system, side, r0):
 def _stock_transit(system, side, r0):
     """(time, r_end, steps, nfev) of a transit by scipy's own DOP853.
 
-    Same field, tolerances and events as ``half_orbit``, with the field
-    written out from the polynomial's gradient and no Newton polish.
+    Same field, tolerances and crossing event as ``half_orbit``, with the
+    field written out from the polynomial's gradient and no Newton polish.
     """
     p = system.side(side)
     sign = -1.0 if side == "lower" else 1.0
@@ -379,16 +394,8 @@ def _stock_transit(system, side, r0):
 
     crossing.terminal = True
     crossing.direction = -1.0 if side == "upper" else 1.0
-    escape_radius = 25.0 * (r0 + 1.0)
-
-    def escape(t, s):
-        return s[0] * s[0] + s[1] * s[1] - escape_radius * escape_radius
-
-    escape.terminal = True
-    escape.direction = 1.0
     sol = solve_ivp(rhs, (0.0, flow.MAX_TIME), (r0, 0.0), method="DOP853",
-                    rtol=flow.RTOL, atol=min(flow.ATOL, flow.RTOL * r0),
-                    events=(crossing, escape))
+                    rtol=flow.RTOL, atol=min(flow.ATOL, flow.RTOL * r0), events=crossing)
     assert sol.status == 1 and len(sol.t_events[0]) == 1
     x, y = sol.y_events[0][0]
     return float(sol.t_events[0][0]), math.hypot(x, y), len(sol.t) - 1, sol.nfev
@@ -462,6 +469,28 @@ def test_thirty_digit_clock_confirms_frozen_obstruction(name):
         outer, inner = remainder(rho), remainder(rho / 2)
         assert abs(inner) <= 0.75 * 2.0 ** -e * abs(outer), (name, inner, outer)
 
+
+
+@pytest.mark.parametrize("r0", [1e2, 1e4, 1e6, 1e8])
+def test_x4_transit_obeys_the_high_energy_law(r0):
+    # both annuli of x^4 / x^2 y^2 are unbounded, so no start is refused.  On
+    # the x^4 side x' = -y, so with x = r0 u the transit is r0 T =
+    # int_{-1}^{1} du / sqrt((1 - u^2) (r0^-2 + 2 (1 + u^2))), which tends to
+    # the lemniscate law Gamma(1/4)^2 / (4 sqrt(pi)) with a relative gap of
+    # about -0.1821 / r0^2.  On the x^2 y^2 side y' = x (1 + 2 y^2) and
+    # y = -r0 sin(phi) give T = 2 K(m = -2 r0^2)
+    system = CENTER_SUITE["x4/x2y2"][0]
+    up, lo = half_orbit(system, "upper", r0), half_orbit(system, "lower", r0)
+    assert not (up.degraded or lo.degraded)
+    with mpmath.workdps(30):
+        limit = mpmath.gamma(0.25) ** 2 / (4 * mpmath.sqrt(mpmath.pi))
+        eps = mpmath.mpf(r0) ** -2
+        exact = mpmath.quad(lambda u: 1 / mpmath.sqrt((1 - u * u) * (eps + 2 * (1 + u * u))),
+                            [-1, 0, 1])
+        lower = 2 * mpmath.ellipk(-2 / eps)
+    assert abs(r0 * up.time - exact) <= 1e-12 * exact, (r0 * up.time, exact)
+    assert abs(r0 * up.time / limit - 1) <= 0.2 / r0 ** 2 + 1e-12, (r0 * up.time, limit)
+    assert abs(lo.time - lower) <= 1e-12 * lower, (lo.time, lower)
 
 
 @pytest.mark.parametrize("p", [hp(3, 0, 0, 0, 1), hp(3, 1, 0, 0, 0), hp(3, 1, -1, 0, 0),
@@ -556,10 +585,10 @@ class TestSmoothPeriod:
 
     def test_empty_quadratic_annulus_refuses_every_clock(self):
         # -x^2: the speed 1 + 2 g is -1 at theta = 0 whatever the radius, so
-        # annulus_bound leaves no annulus and every start is refused up front
+        # the start cap is 0 and every start is refused up front
         system = PiecewiseSystem(hp(2, -1, 0, 0), hp(2, -1, 0, 0))
         for clock in (half_orbit, quadrature_period, smooth_period):
-            with pytest.raises(EscapedAnnulus, match="annulus bound 0"):
+            with pytest.raises(EscapedAnnulus, match="start cap 0"):
                 clock(system, "upper", 0.3)
 
     def test_quadratic_side_closed_form(self):
