@@ -9,6 +9,7 @@ period is not identically 2*pi.
 """
 
 from .analysis import (
+    AnalysisOptions,
     AnalysisReport,
     WitnessSearch,
     cross_validate,
@@ -16,14 +17,13 @@ from .analysis import (
     half_equals_half_full_check,
     monotonicity_profile,
     predicted_profiles,
+    run_report,
 )
 from .cli import (
-    AnalysisOptions,
     ParsedSpec,
     format_spec,
     main,
     parse_spec,
-    run_report,
 )
 from .errors import (
     DegreeMismatch,
@@ -73,6 +73,7 @@ from .systems import (
     classify,
     min_start_cap,
     normalize,
+    positive_definite,
     start_radius_cap,
 )
 from .trigmoments import (

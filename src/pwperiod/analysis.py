@@ -1,4 +1,11 @@
-"""Higher-level analysis: witnesses, cross-validation, period profiles.
+"""The analyze pipeline and the analyses it runs: witness, cross-check, profiles.
+
+``run_report`` is the pipeline behind ``analyze``.  It classifies the
+system, draws the seeded sample grid, and writes each report line and
+anomaly where it decides the fact: a non-center gets its correspondence
+gaps; a center its exact series, a witness, the profile tags and the
+crosscheck of the series against measured periods.  Every ODE transit it
+reads comes from ``_transits``, and a degraded one is an anomaly.
 
 Everything here reports what was measured; the witness rests on measured
 periods alone.  A missing witness is returned as None together with an
@@ -15,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisNotMet, NotACenter
+from .errors import DegreeTooLow, EscapedAnnulus, HypothesisNotMet, NotACenter
 from .flow import HalfOrbitResult, half_orbit, quadrature_period, smooth_period
 from .periodseries import PeriodSeries, combined_period_series, jmax_for_order
 from .systems import (
     LOWER_SIDE,
+    SIDES,
     UPPER_SIDE,
     CenterClass,
     PiecewiseSystem,
@@ -28,9 +36,11 @@ from .systems import (
     min_start_cap,
     start_radius_cap,
 )
-from .trigmoments import TrigValue, profile_power_integral
+from .trigmoments import TrigValue, profile_power_integral, rational_str
 
 TWO_PI = 2.0 * math.pi
+# the two clocks' acceptance agreement: periods closer than this are equal
+CLOCK_AGREEMENT = 1e-9
 # radii at which the monotonicity tag samples a side's whole-circle period
 PROFILE_POINTS = 9
 # fraction of the whole-circle start cap they reach; nearer the cap the
@@ -47,8 +57,11 @@ CONSTANT = "constant"
 UNDETERMINED = "undetermined"
 
 __all__ = [
+    "AnalysisOptions",
     "AnalysisReport",
+    "ReportBundle",
     "WitnessSearch",
+    "run_report",
     "find_witness",
     "cross_validate",
     "crosscheck_rows",
@@ -56,12 +69,22 @@ __all__ = [
     "monotonicity_profile",
     "predicted_profiles",
     "half_equals_half_full_check",
+    "CLOCK_AGREEMENT",
     "DECREASING",
     "INCREASING_UNBOUNDED",
     "MIN_CRITICAL",
     "CONSTANT",
     "UNDETERMINED",
 ]
+
+
+@dataclass(frozen=True)
+class AnalysisOptions:
+    order: int = 8
+    rmax: float = 0.2
+    samples: int = 64
+    tol: float = 1e-6
+    seed: int = 0
 
 
 @dataclass
@@ -83,6 +106,135 @@ class AnalysisReport:
     witness: tuple[float, float, float] | None
     crosscheck: float | None
     anomalies: list[str]
+
+
+@dataclass
+class ReportBundle:
+    report: AnalysisReport
+    lines: list[str]
+    period_rows: list[tuple[float, float, float, float]] | None
+    gap_rows: list[tuple[float, float]] | None
+    warnings: list[str] = field(default_factory=list)
+
+
+def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundle:
+    """Run the full pipeline: classify, series, witness, profiles, CSV rows.
+
+    Each report line is written here, in order, where its fact is decided.
+    """
+    classification = classify(system)
+    anomalies: list[str] = []
+    warnings: list[str] = []
+    case = f" (case {classification.case_tag})" if classification.case_tag else ""
+    lines = [f"classification: {classification.verdict}{case}",
+             f"  reason: {classification.reason}"]
+    for side in SIDES:
+        p = system.side(side)
+        coeffs = ", ".join(map(rational_str, p.coeffs))
+        lines.append(f"{side}: degree {p.degree}, coeffs [{coeffs}]")
+        est = annulus_bound(system, side)
+        lines.append(f"  annulus: r* = {est.r_star:.12g} at theta = {est.theta_star:.12g}"
+                     if est.bounded else "  annulus: unbounded")
+    if system.upper.is_zero() and system.lower.is_zero():
+        lines.append("verdict: isochronous (trivial linear system, period 2*pi)")
+    r_cap = 0.8 * min_start_cap(system)
+    if not r_cap > 0.0:
+        if classification.is_center:
+            raise EscapedAnnulus("no closed crossing orbits exist near the origin")
+        warnings.append("no crossing orbits exist near the origin, so no correspondence gaps")
+        report = AnalysisReport(classification, None, None, None, None, anomalies)
+        return ReportBundle(report, lines, None, None, warnings)
+    grid, clamped = _sample_grid(options, r_cap)
+    if clamped:
+        warnings.append(
+            f"sample grid clamped to r0 <= {grid[-1]:.6g} (period annulus bound)")
+
+    if not classification.is_center:
+        transits = _transits(system, grid)
+        # each gap is correspondence_gap's: upper minus lower return radius
+        gap_rows = [(float(r0), up.r_end - lo.r_end) for r0, (up, lo) in zip(grid, transits)]
+        lines.append("correspondence gap table (r0, gap):")
+        lines += [f"  {_fmt(r0)}  {_fmt(gap)}" for r0, gap in gap_rows]
+        anomalies += _degraded_rows(_drifts(transits), len(gap_rows), "gap", "gaps are")
+        report = AnalysisReport(classification, None, None, None, None, anomalies)
+        return ReportBundle(report, lines, None, gap_rows, warnings)
+
+    try:
+        full = combined_period_series(system, jmax=jmax_for_order(system, options.order))
+        series = full.truncate(options.order)
+        obstruction = next(full.items(), None)
+        lines.append(f"period series in r0, truncated at exponent {series.truncation_order}:")
+        lines.append(f"  constant: {series.constant}")
+        lines += [f"  r0^{e}: {c}" for e, c in series.items()]
+        if not series.exponents:
+            lines.append("  (no correction terms through the truncation order)")
+        lines.append("first obstruction: none through the truncation order" if obstruction is None
+                     else "first obstruction: exponent %d, coefficient %s" % obstruction)
+    except DegreeTooLow:
+        series = obstruction = None
+        anomalies.append("series unavailable: a quadratic side has no expansion grid")
+
+    search = find_witness(system, tol=options.tol, r_max=float(grid[-1]))
+    anomalies.extend(search.anomalies)
+    if search.witness is None:
+        lines.append("witness: none found")
+    else:
+        r0, period, dev = search.witness
+        lines.append(f"witness: r0 = {_fmt(r0)}, period = {_fmt(period)}, "
+                     f"|period - 2*pi| = {_fmt(dev)}")
+
+    tags = []
+    for side in SIDES:
+        tag = monotonicity_profile(system, side)
+        tags.append(f"{side} {tag}")
+        allowed = predicted_profiles(system, side)
+        if tag not in allowed:
+            anomalies.append(
+                f"{side} profile {tag} disagrees with the predicted {sorted(allowed)}")
+    lines.append(f"monotonicity: {', '.join(tags)}")
+
+    rows, drifts = crosscheck_rows(system, series, grid)
+    anomalies += _degraded_rows(drifts, len(rows), "crosscheck", "T_numeric is")
+    worst = None
+    if series is not None:
+        worst = worst_deviation(rows)
+        lines.append(f"series crosscheck, max |T_numeric - T_series|: {_fmt(worst)}")
+        # A series with terms that fits the numeric periods no better than the
+        # constant 2*pi alone is being evaluated outside the range where it
+        # means anything.  A series without terms is the constant itself, and
+        # periods within CLOCK_AGREEMENT of 2*pi leave only clock noise.
+        baseline = max(abs(t_num - TWO_PI) for _, t_num, _, _ in rows)
+        if series.exponents and worst >= baseline > CLOCK_AGREEMENT:
+            anomalies.append(
+                "series evaluated outside its range: the crosscheck is no better than "
+                f"the constant term alone, max |T_numeric - 2*pi|: {_fmt(baseline)}")
+
+    report = AnalysisReport(classification, series, obstruction, search.witness, worst,
+                            anomalies)
+    return ReportBundle(report, lines, rows, None, warnings)
+
+
+def _sample_grid(options: AnalysisOptions, r_cap: float) -> tuple[np.ndarray, bool]:
+    rng = np.random.default_rng(options.seed)
+    top = options.rmax
+    clamped = False
+    if math.isfinite(r_cap) and top > r_cap:
+        top = r_cap
+        clamped = True
+    grid = np.sort(rng.uniform(0.05 * top, top, options.samples))
+    return grid, clamped
+
+
+def _degraded_rows(drifts: list[float], total: int, table: str, values: str) -> list[str]:
+    """One anomaly for a table with ``drifts`` degraded rows of ``total``, none without."""
+    if not drifts:
+        return []
+    return [f"ODE clock degraded on {len(drifts)} of {total} {table} rows (energy drift "
+            f"up to {max(drifts):.3g}); their {values} not trustworthy"]
+
+
+def _fmt(value: float) -> str:
+    return "%.17g" % value
 
 
 def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
@@ -108,16 +260,16 @@ def find_witness(sys: PiecewiseSystem, tol: float = 1e-6,
     probes = [r_hi, r_hi / 4.0, r_hi / 16.0]
     transits = _transits(sys, probes)
     out = WitnessSearch(witness=None, evaluations=len(probes))
-    if any(t.degraded for pair in transits for t in pair):
-        drift = max(t.energy_drift for pair in transits for t in pair)
+    drifts = _drifts(transits)
+    if drifts:
         out.anomalies.append(
             f"ODE clock degraded at the probe radii up to r0 = {r_hi:.6g} (energy drift "
-            f"{drift:.3g}); the witness search reads no period from them")
+            f"{max(drifts):.3g}); the witness search reads no period from them")
         return out
     values = [up.time + lo.time for up, lo in transits]
     spread = max(values) - min(values)
     mean = sum(values) / len(values)
-    if spread <= max(1e-9, 1e-12 * abs(mean)):
+    if spread <= max(CLOCK_AGREEMENT, 1e-12 * abs(mean)):
         if abs(mean - TWO_PI) > tol:
             out.anomalies.append(
                 f"period is constant at {mean:.12g} but differs from 2*pi; "
@@ -144,6 +296,12 @@ def _transits(sys: PiecewiseSystem, radii) -> list[tuple[HalfOrbitResult, HalfOr
             for r in radii]
 
 
+def _drifts(transits) -> list[float]:
+    """The larger energy drift of each transit pair with a degraded transit."""
+    return [max(up.energy_drift, lo.energy_drift) for up, lo in transits
+            if up.degraded or lo.degraded]
+
+
 def crosscheck_rows(sys: PiecewiseSystem, series: PeriodSeries | None, grid
                     ) -> tuple[list[tuple[float, float, float, float]], list[float]]:
     """Rows (r0, T_numeric, T_series, deviation) over the grid, and degraded rows' drifts.
@@ -156,14 +314,13 @@ def crosscheck_rows(sys: PiecewiseSystem, series: PeriodSeries | None, grid
     verdict = classify(sys)
     if not verdict.is_center:
         raise NotACenter(f"periods need a center: {verdict.reason}")
-    rows, drifts = [], []
-    for r0, (up, lo) in zip(grid, _transits(sys, grid)):
+    transits = _transits(sys, grid)
+    rows = []
+    for r0, (up, lo) in zip(grid, transits):
         r0, t_num = float(r0), up.time + lo.time
         t_ser = series(r0) if series is not None else math.nan
         rows.append((r0, t_num, t_ser, abs(t_num - t_ser)))
-        if up.degraded or lo.degraded:
-            drifts.append(max(up.energy_drift, lo.energy_drift))
-    return rows, drifts
+    return rows, _drifts(transits)
 
 
 def worst_deviation(rows) -> float:

@@ -1,4 +1,4 @@
-"""Command line front end: parse a system file, analyze it, emit report + CSV.
+"""Command line front end: parse a system file, run the pipeline, print and write.
 
 File format, line oriented, '#' starts a comment anywhere:
 
@@ -18,13 +18,19 @@ File format, line oriented, '#' starts a comment anywhere:
     seed = 0
 
 Coefficients are exact rationals ("2", "-1/3", "1e-3", exponent within
-+-4300) whose floats are finite, and nonzero for nonzero ones.  Option ranges:
++-4300) whose floats are finite, and nonzero for nonzero ones; a quadratic
+side's floats must also agree with its exact coefficients on whether the
+side's Hamiltonian is positive definite.  Option ranges:
 1 <= order <= 128, 1 <= samples <= 100000, rmax and tol positive and
 finite, seed >= 0.  The upper bounds keep every run finite in time and
 memory: the exact series at order 128 takes seconds to minutes and about
-100 MB, and each sample radius holds one table row.  Exit codes: 0
-analysis completed (whatever the verdict), 2 bad input file, option or CSV
-path, 3 numerical failure during analysis.
+100 MB, and each sample radius holds one table row.
+
+This module only parses, renders and writes: ``main`` reads the file and
+the overrides, ``analysis.run_report`` decides every report line and
+anomaly, ``render_report`` joins them, and ``write_csv`` writes the rows.
+Exit codes: 0 analysis completed (whatever the verdict), 2 bad input file,
+option or CSV path, 3 numerical failure during analysis.
 """
 
 from __future__ import annotations
@@ -37,19 +43,9 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
-from .analysis import (
-    AnalysisReport,
-    crosscheck_rows,
-    find_witness,
-    monotonicity_profile,
-    predicted_profiles,
-    worst_deviation,
-)
+from .analysis import AnalysisOptions, ReportBundle, _fmt, run_report
 from .errors import (
     DegreeMismatch,
-    DegreeTooLow,
     EscapedAnnulus,
     ParseError,
     PwPeriodError,
@@ -57,17 +53,12 @@ from .errors import (
     RootBracketFailure,
     StepFailure,
 )
-from .flow import correspondence_gap
-from .periodseries import combined_period_series, jmax_for_order
 from .systems import (
-    SIDES,
     HomogeneousPoly,
     PiecewiseSystem,
     annulus_bound,
-    classify,
-    min_start_cap,
+    positive_definite,
 )
-from .trigmoments import rational_str
 
 __all__ = [
     "AnalysisOptions",
@@ -79,26 +70,16 @@ __all__ = [
     "render_report",
     "write_csv",
     "main",
+    "annulus_bound",  # unused here; perfbench's tracer test reads this binding
 ]
 
 CSV_HEADER = "r0,T_numeric,T_series,deviation"
 MAX_ORDER = 128
 MAX_SAMPLES = 100_000
-# the two clocks' acceptance agreement: periods closer than this are equal
-CLOCK_AGREEMENT = 1e-9
 # Fraction builds 10^|exponent| exactly, which takes seconds from 10^7 on;
 # a coefficient written with a larger exponent is far outside float range
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?0*(\d+)$", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    order: int = 8
-    rmax: float = 0.2
-    samples: int = 64
-    tol: float = 1e-6
-    seed: int = 0
 
 
 OPTION_NAMES = tuple(f.name for f in fields(AnalysisOptions))
@@ -108,15 +89,6 @@ OPTION_NAMES = tuple(f.name for f in fields(AnalysisOptions))
 class ParsedSpec:
     system: PiecewiseSystem
     options: AnalysisOptions
-    warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
-class ReportBundle:
-    report: AnalysisReport
-    lines: list[str]
-    period_rows: list[tuple[float, float, float, float]] | None
-    gap_rows: list[tuple[float, float]] | None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -223,6 +195,10 @@ def parse_spec(text: str) -> ParsedSpec:
             _fail("coefficient too large for floating-point evaluation", cline, craw)
         if any(c and not f for c, f in zip(coeffs, floats)):
             _fail("coefficient too small for floating-point evaluation", cline, craw)
+        # the center test on the floats' exact values: the clocks integrate those
+        if degree == 2 and positive_definite(*coeffs) != positive_definite(*map(Fraction, floats)):
+            _fail("coefficients whose floats flip whether the quadratic form is positive "
+                  "definite", cline, craw)
 
     options = AnalysisOptions()
     if "options" in sections:
@@ -258,118 +234,6 @@ def format_spec(system: PiecewiseSystem, options: AnalysisOptions) -> str:
     lines.append("[options]")
     lines += [f"{key} = {getattr(options, key)!r}" for key in OPTION_NAMES]
     return "\n".join(lines) + "\n"
-
-
-def _sample_grid(options: AnalysisOptions, r_cap: float) -> tuple[np.ndarray, bool]:
-    rng = np.random.default_rng(options.seed)
-    top = options.rmax
-    clamped = False
-    if math.isfinite(r_cap) and top > r_cap:
-        top = r_cap
-        clamped = True
-    grid = np.sort(rng.uniform(0.05 * top, top, options.samples))
-    return grid, clamped
-
-
-def run_report(system: PiecewiseSystem, options: AnalysisOptions) -> ReportBundle:
-    """Run the full pipeline: classify, series, witness, profiles, CSV rows.
-
-    Each report line is written here, in order, where its fact is decided.
-    """
-    classification = classify(system)
-    anomalies: list[str] = []
-    warnings: list[str] = []
-    case = f" (case {classification.case_tag})" if classification.case_tag else ""
-    lines = [f"classification: {classification.verdict}{case}",
-             f"  reason: {classification.reason}"]
-    for side in SIDES:
-        p = system.side(side)
-        coeffs = ", ".join(map(rational_str, p.coeffs))
-        lines.append(f"{side}: degree {p.degree}, coeffs [{coeffs}]")
-        est = annulus_bound(system, side)
-        lines.append(f"  annulus: r* = {est.r_star:.12g} at theta = {est.theta_star:.12g}"
-                     if est.bounded else "  annulus: unbounded")
-    if system.upper.is_zero() and system.lower.is_zero():
-        lines.append("verdict: isochronous (trivial linear system, period 2*pi)")
-    r_cap = 0.8 * min_start_cap(system)
-    if not r_cap > 0.0:
-        if classification.is_center:
-            raise EscapedAnnulus("no closed crossing orbits exist near the origin")
-        warnings.append("no crossing orbits exist near the origin, so no correspondence gaps")
-        report = AnalysisReport(classification, None, None, None, None, anomalies)
-        return ReportBundle(report, lines, None, None, warnings)
-    grid, clamped = _sample_grid(options, r_cap)
-    if clamped:
-        warnings.append(
-            f"sample grid clamped to r0 <= {grid[-1]:.6g} (period annulus bound)")
-
-    if not classification.is_center:
-        gap_rows = [(float(r0), correspondence_gap(system, float(r0))) for r0 in grid]
-        lines.append("correspondence gap table (r0, gap):")
-        lines += [f"  {_fmt(r0)}  {_fmt(gap)}" for r0, gap in gap_rows]
-        report = AnalysisReport(classification, None, None, None, None, anomalies)
-        return ReportBundle(report, lines, None, gap_rows, warnings)
-
-    try:
-        full = combined_period_series(system, jmax=jmax_for_order(system, options.order))
-        series = full.truncate(options.order)
-        obstruction = next(full.items(), None)
-        lines.append(f"period series in r0, truncated at exponent {series.truncation_order}:")
-        lines.append(f"  constant: {series.constant}")
-        lines += [f"  r0^{e}: {c}" for e, c in series.items()]
-        if not series.exponents:
-            lines.append("  (no correction terms through the truncation order)")
-        lines.append("first obstruction: none through the truncation order" if obstruction is None
-                     else "first obstruction: exponent %d, coefficient %s" % obstruction)
-    except DegreeTooLow:
-        series = obstruction = None
-        anomalies.append("series unavailable: a quadratic side has no expansion grid")
-
-    search = find_witness(system, tol=options.tol, r_max=float(grid[-1]))
-    anomalies.extend(search.anomalies)
-    if search.witness is None:
-        lines.append("witness: none found")
-    else:
-        r0, period, dev = search.witness
-        lines.append(f"witness: r0 = {_fmt(r0)}, period = {_fmt(period)}, "
-                     f"|period - 2*pi| = {_fmt(dev)}")
-
-    tags = []
-    for side in SIDES:
-        tag = monotonicity_profile(system, side)
-        tags.append(f"{side} {tag}")
-        allowed = predicted_profiles(system, side)
-        if tag not in allowed:
-            anomalies.append(
-                f"{side} profile {tag} disagrees with the predicted {sorted(allowed)}")
-    lines.append(f"monotonicity: {', '.join(tags)}")
-
-    rows, drifts = crosscheck_rows(system, series, grid)
-    if drifts:
-        anomalies.append(
-            f"ODE clock degraded on {len(drifts)} of {len(rows)} crosscheck rows (energy drift "
-            f"up to {max(drifts):.3g}); their T_numeric is not trustworthy")
-    worst = None
-    if series is not None:
-        worst = worst_deviation(rows)
-        lines.append(f"series crosscheck, max |T_numeric - T_series|: {_fmt(worst)}")
-        # A series with terms that fits the numeric periods no better than the
-        # constant 2*pi alone is being evaluated outside the range where it
-        # means anything.  A series without terms is the constant itself, and
-        # periods within CLOCK_AGREEMENT of 2*pi leave only clock noise.
-        baseline = max(abs(t_num - 2 * math.pi) for _, t_num, _, _ in rows)
-        if series.exponents and worst >= baseline > CLOCK_AGREEMENT:
-            anomalies.append(
-                "series evaluated outside its range: the crosscheck is no better than "
-                f"the constant term alone, max |T_numeric - 2*pi|: {_fmt(baseline)}")
-
-    report = AnalysisReport(classification, series, obstruction, search.witness, worst,
-                            anomalies)
-    return ReportBundle(report, lines, rows, None, warnings)
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % value
 
 
 def render_report(bundle: ReportBundle) -> str:

@@ -412,7 +412,12 @@ def _level_time_integral(p: HomogeneousPoly, r0: float, lo: float, hi: float) ->
         return hi - lo
     d = p.degree
     a0 = float(p.axis_value)
-    h2 = r0 * r0 + 2.0 * a0 * r0 ** d
+    try:
+        h2 = r0 * r0 + 2.0 * a0 * r0 ** d
+    except OverflowError:
+        # r0^d is beyond float range, and so is the level curve: _level_radii
+        # refuses an energy or bracket that is not finite
+        h2 = math.inf
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         g = p(np.cos(theta), np.sin(theta))

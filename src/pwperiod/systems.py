@@ -37,6 +37,7 @@ __all__ = [
     "CenterClass",
     "AnnulusEstimate",
     "classify",
+    "positive_definite",
     "normalize",
     "profile_min",
     "annulus_bound",
@@ -118,9 +119,7 @@ def classify(sys: PiecewiseSystem) -> CenterClass:
     """
     for side in SIDES:
         p = sys.side(side)
-        c0, c1, c2 = p.coeffs if p.degree == 2 else (0, 0, 0)
-        # the quadratic part of H, ((1 + 2 c0) x^2 + 2 c1 xy + (1 + 2 c2) y^2)/2
-        if not (1 + 2 * c0 > 0 and (1 + 2 * c0) * (1 + 2 * c2) > c1 * c1):
+        if not positive_definite(*(p.coeffs if p.degree == 2 else (0, 0, 0))):
             return CenterClass(NOT_CENTER, None, f"the {side} Hamiltonian is a quadratic form "
                                "that is not positive definite, so no orbit crosses back")
     n, m = sys.n, sys.m
@@ -154,6 +153,15 @@ def classify(sys: PiecewiseSystem) -> CenterClass:
                            "equal even exponents with equal axis coefficients")
     return CenterClass(NOT_CENTER, None, "equal even exponents require equal axis coefficients, "
                        f"got {rational_str(ap)} != {rational_str(am)}")
+
+
+def positive_definite(c0, c1, c2) -> bool:
+    """Whether the quadratic part of H with side c0 x^2 + c1 xy + c2 y^2 is positive definite.
+
+    That part is ((1 + 2 c0) x^2 + 2 c1 xy + (1 + 2 c2) y^2)/2.  The one
+    center test of a quadratic side; exact on Fractions.
+    """
+    return 1 + 2 * c0 > 0 and (1 + 2 * c0) * (1 + 2 * c2) > c1 * c1
 
 
 def normalize(sys: PiecewiseSystem) -> PiecewiseSystem:
@@ -276,19 +284,32 @@ def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndar
     its step is within 1e-16 + 8.9e-16 r.  The quadrature clock calls it on
     its nodes, ``start_radius_cap`` on the one angle 0.
     """
+    if not 0.0 < h2 < math.inf:
+        raise RootBracketFailure(
+            f"level energy {h2:.6g} is not positive and finite; start radius is "
+            "outside the period annulus or the float range"
+        )
     root = math.sqrt(h2)
     negative = g < 0.0
     fold = np.full_like(g, math.inf)
-    # the level function peaks at the fold radius and falls after it; the
-    # orbit radius is the root before the fold, if any.  At that root
-    # 1 - 2|g| r^(d-2) > (d-2)/d, so r^2 < 3 h2 always, which caps the
-    # bracket when the fold is far away (tiny |g|).
-    fold[negative] = (d * -g[negative]) ** (-1.0 / (d - 2))
-    # for g > 0 the root sits at or below sqrt(h2); the tiny inflation keeps
-    # the endpoint sign positive when 2 g h2^(d/2) is below the rounding
-    # error of sqrt(h2)**2 - h2
-    hi = np.where(g > 0.0, root * (1.0 + 1e-12), np.minimum(fold, math.sqrt(3.0 * h2)))
-    short = (g <= 0.0) & (hi * hi + 2.0 * g * hi ** d - h2 <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the level function peaks at the fold radius and falls after it; the
+        # orbit radius is the root before the fold, if any.  At that root
+        # 1 - 2|g| r^(d-2) > (d-2)/d, so r^2 < 3 h2 always, which caps the
+        # bracket when the fold is far away (tiny |g|).
+        fold[negative] = (d * -g[negative]) ** (-1.0 / (d - 2))
+        # for g > 0 the root sits at or below sqrt(h2); the tiny inflation keeps
+        # the endpoint sign positive when 2 g h2^(d/2) is below the rounding
+        # error of sqrt(h2)**2 - h2
+        hi = np.where(g > 0.0, root * (1.0 + 1e-12), np.minimum(fold, math.sqrt(3.0 * h2)))
+        top = hi * hi + 2.0 * g * hi ** d - h2
+        rp0 = np.float64(root) ** (d - 2)
+    if not (np.isfinite(top).all() and np.isfinite(rp0)):
+        raise RootBracketFailure(
+            f"level curve at energy {h2:.6g} overflows the float range; start "
+            "radius is too large for floating-point evaluation"
+        )
+    short = (g <= 0.0) & (top <= 0.0)
     if short.any():
         raise RootBracketFailure(
             f"level curve does not reach angle {theta[short][0]:.6f}; start "
@@ -301,7 +322,7 @@ def _level_radii(g: np.ndarray, d: int, h2: float, theta: np.ndarray) -> np.ndar
         # start from the reversion series r / sqrt(h2) = 1 - u + (2d - 1) u^2 / 2
         # + O(u^3), u = g h2^((d-2)/2), kept inside the bracket, which also
         # bounds a u * u that overflows
-        u = g * root ** (d - 2)
+        u = g * rp0
         r = np.clip(root * (1.0 - u + (d - 0.5) * u * u), lo, hi)
         for _ in range(100):
             rp = r ** (d - 2)

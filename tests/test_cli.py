@@ -478,6 +478,59 @@ class TestCsvAndMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: "), err
 
+    @pytest.mark.parametrize("upper, lower, options", [
+        # the level energy overflows, then the start guess's power of sqrt(h2)
+        ("6\ncoeffs = 1e300, -1e-300, 1/2, 1e30, 1e30, 1e-300, -1e-300",
+         "5\ncoeffs = 0, 1e-300, -2/3, -1e-30, 1e300, -3",
+         "order = 6\nrmax = 1e-100\nsamples = 6\ntol = 1e-12\nseed = 5"),
+        # the level energy of a monotonicity sample is negative
+        ("4\ncoeffs = -1e30, 2, -1e300, 1/2, 1/2",
+         "4\ncoeffs = -1e-30, 1e300, 0, 1e-30, 1e-30",
+         "order = 2\nrmax = 1e-100\nsamples = 6\ntol = 1e-12\nseed = 5"),
+        ("4\ncoeffs = -1e-300, -1, -1e300, 1e-300, 3/7",
+         "6\ncoeffs = 1e300, 1e-300, 2, -2/3, 1e30, 1, 0",
+         "order = 7\nrmax = 1e-100\nsamples = 2\ntol = 1e-6\nseed = 0"),
+    ], ids=["energy-overflow", "negative-energy", "power-overflow"])
+    def test_main_level_solver_failure_is_a_numerical_failure(self, tmp_path, capsys,
+                                                              upper, lower, options):
+        # each used to end in a traceback (OverflowError or a math domain
+        # error) inside systems._level_radii, called by monotonicity_profile
+        spec = tmp_path / "sys.txt"
+        spec.write_text(f"[upper]\ndegree = {upper}\n[lower]\ndegree = {lower}\n"
+                        f"[options]\n{options}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(spec)])
+        assert code == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: level "), err
+
+    def test_main_degraded_gap_rows_are_an_anomaly(self, tmp_path, capsys):
+        # a non-center scaled by 10^50: every upper transit drifts by 2e-9 to
+        # 1.2e-8, past the ODE clock's 1e-10, so no gap row is trustworthy
+        big = "1" + "0" * 50
+        spec = tmp_path / "sys.txt"
+        spec.write_text(f"[upper]\ndegree = 4\ncoeffs = 0, 0, {big}, 0, 0\n"
+                        f"[lower]\ndegree = 5\ncoeffs = {big}, 0, 0, 0, 0, 0\n")
+        assert main([str(spec), "--samples", "4"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("classification: NotCenter\n")
+        assert re.search(r"\nanomaly: ODE clock degraded on 4 of 4 gap rows \(energy drift "
+                         r"up to [0-9.e-]+\); their gaps are not trustworthy\n$", out), out
+
+    def test_main_quadratic_side_whose_floats_flip_the_center_test(self, tmp_path, capsys):
+        # c0 = -1/2 + 1e-20 is a center exactly, but its float is -1/2, whose
+        # Hamiltonian is degenerate: the clocks would integrate a non-center
+        spec = tmp_path / "sys.txt"
+        spec.write_text("[upper]\ndegree = 2\n"
+                        "coeffs = -49999999999999999999/100000000000000000000, 0, 0\n"
+                        "[lower]\ndegree = 3\ncoeffs = 0, 0, 0, 1\n")
+        assert main([str(spec)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["parse error: coefficients whose floats flip whether the quadratic "
+                       "form is positive definite (line 3)"]
+
     @pytest.mark.parametrize("coeffs", ["1e200, 0, 0, 1e-200", "1e300, 0, 1e-300, 0",
                                         "1e160, 1e-160, 0, 0"])
     def test_main_profile_roots_of_widely_spread_coefficients(self, tmp_path, capsys, coeffs):

@@ -223,6 +223,17 @@ class TestQuadratureRoute:
         with pytest.raises(RootBracketFailure, match="does not reach angle 3.14"):
             _level_radii(np.array([-1.0]), 3, 0.2 ** 2 + 2 * 0.2 ** 3, np.array([math.pi]))
 
+    def test_level_energy_beyond_float_range_raises_bracket_failure(self):
+        # r0^4 overflows at r0 = 1e100, which used to escape as OverflowError;
+        # a negative energy used to be a math domain error of its square root
+        with pytest.raises(RootBracketFailure, match="level energy inf is not positive"):
+            quadrature_period(CENTER_SUITE["x2y2/y4"][0], "upper", 1e100)
+        with pytest.raises(RootBracketFailure, match="overflows the float range"):
+            _level_radii(np.array([0.0, 1.0]), 4, 1e200, np.array([0.0, 1.0]))
+        for h2 in (-1.0, math.inf, math.nan):
+            with pytest.raises(RootBracketFailure, match="not positive and finite"):
+                _level_radii(np.array([1.0]), 3, h2, np.array([0.0]))
+
     def test_unresolved_peak_raises_instead_of_returning(self):
         # 1e-9 below the start cap the orbit grazes the fold of the level
         # curve; its time spike is too narrow for the node cap of either rule

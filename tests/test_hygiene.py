@@ -218,18 +218,28 @@ def test_no_hand_rolled_caches(path):
     assert hand_rolled_caches(path.read_text()) == []
 
 
-def imports_scipy(source: str) -> bool:
-    """Whether a module imports scipy or any of its submodules."""
+def imported_modules(source: str) -> list[str]:
+    """Modules a source imports; a relative one keeps its leading dots."""
+    found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
-            return True
-    return False
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            # ``from . import flow`` imports the module .flow
+            found += [base + alias.name for alias in node.names] if node.module is None else [base]
+    return found
+
+
+def imports_any(source: str, modules) -> list[str]:
+    """The imports of ``source`` that are one of ``modules`` or inside one of them."""
+    return [m for m in imported_modules(source)
+            if any(m == top or m.startswith(top + ".") for top in modules)]
+
+
+def imports_scipy(source: str) -> bool:
+    """Whether a module imports scipy or any of its submodules."""
+    return bool(imports_any(source, ["scipy"]))
 
 
 def test_scan_sees_a_scipy_import():
@@ -241,3 +251,17 @@ def test_scan_sees_a_scipy_import():
 def test_only_the_ode_clock_imports_scipy():
     # the ODE clock drives scipy's solve_ivp; nothing else at runtime needs it
     assert [p.name for p in MODULES if imports_scipy(p.read_text())] == ["flow.py"]
+
+
+# the command line parses, renders and writes; the numerics run in analysis.py
+CLI_FORBIDDEN = ("numpy", "scipy", ".flow", ".periodseries", ".trigmoments")
+
+
+def test_scan_sees_a_numeric_import():
+    source = ("import numpy as np\nfrom . import flow, errors\nfrom .periodseries import x\n"
+              "from .analysis import run_report\nimport numpyish\nfrom .flowchart import y\n")
+    assert imports_any(source, CLI_FORBIDDEN) == ["numpy", ".flow", ".periodseries"]
+
+
+def test_cli_imports_no_numerics():
+    assert imports_any((PACKAGE / "cli.py").read_text(), CLI_FORBIDDEN) == []

@@ -15,6 +15,7 @@ from pwperiod import (
     min_start_cap,
     normalize,
     numeric_period,
+    positive_definite,
     start_radius_cap,
 )
 from pwperiod.flow import _make_field
@@ -79,6 +80,7 @@ class TestClassify:
             c = classify(sys)
             assert c.is_center == center
             assert ("not positive definite" in c.reason) == (not center)
+        assert positive_definite(*coeffs) == center
 
 
 class TestNormalize:
